@@ -101,15 +101,15 @@ void FreeRtosImage::spawn_workload() {
       // 32 accumulation steps per lap of a convergent series, applied to
       // the working accumulator and, in reverse association, to a shadow
       // copy. State corruption shows up as divergence between the two.
+      // Each term is computed once; both sums add the same doubles.
+      std::array<double, 32> terms{};
+      for (std::size_t i = 0; i < terms.size(); ++i) {
+        const double k = static_cast<double>(iter * 32 + i + 1);
+        terms[i] = (fp == 0 ? 1.0 : -1.0) / (k * k);
+      }
       double lap = 0.0;
-      for (int i = 31; i >= 0; --i) {
-        const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
-        lap += (fp == 0 ? 1.0 : -1.0) / (k * k);
-      }
-      for (int i = 0; i < 32; ++i) {
-        const double k = static_cast<double>(iter * 32 + static_cast<std::uint64_t>(i) + 1);
-        acc += (fp == 0 ? 1.0 : -1.0) / (k * k);
-      }
+      for (auto term = terms.rbegin(); term != terms.rend(); ++term) lap += *term;
+      for (const double term : terms) acc += term;
       shadow += lap;
       ++iter;
       if (iter % 50 == 0) {

@@ -1,5 +1,7 @@
 #include "guests/linux_root.hpp"
 
+#include <charconv>
+
 namespace mcs::guest {
 
 void LinuxRootImage::on_start(jh::GuestContext& ctx) {
@@ -15,7 +17,14 @@ void LinuxRootImage::on_start(jh::GuestContext& ctx) {
 void LinuxRootImage::on_timer(jh::GuestContext& ctx) {
   ++jiffies_;
   if (jiffies_ % 500 == 0) {
-    ctx.console_puts("[root] jiffies " + std::to_string(jiffies_) + "\n");
+    // Rendered into a stack buffer: the line outgrows std::string's
+    // inline storage, and the busy tick stays allocation-free.
+    constexpr std::string_view kPrefix = "[root] jiffies ";
+    char line[kPrefix.size() + 21] = {};  // + up to 20 digits + '\n'
+    char* end = line + kPrefix.copy(line, kPrefix.size());
+    end = std::to_chars(end, line + sizeof line - 1, jiffies_).ptr;
+    *end++ = '\n';
+    ctx.console_puts(std::string_view(line, static_cast<std::size_t>(end - line)));
   }
 }
 

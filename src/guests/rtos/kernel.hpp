@@ -7,8 +7,16 @@
 // including a task to blink an onboard led, a couple of send/receive
 // tasks, two floating-point arithmetic tasks, and fifteen integer ones",
 // §III) while keeping every scheduling decision deterministic.
+//
+// Both hooks run on every busy board tick, so neither scans the task
+// table: the kernel keeps derived sets (a ready bitmask, one fixed task
+// mask per priority, and a 64-slot wake wheel of delayed tasks) up to
+// date as tasks change state. The sets are never snapshotted; every
+// state change goes through the kernel's one private setter, and
+// restore_from()/reset() rebuild them from the task states.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -36,7 +44,11 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
+  /// Task-table capacity: one bit per task in the scheduler's masks.
+  static constexpr std::size_t kMaxTasks = 64;
+
   // --- task API (xTaskCreate / vTaskDelay analogues) ---------------------
+  /// Returns kNoTask (and adds nothing) when kMaxTasks tasks exist.
   TaskId add_task(std::string name, unsigned priority, TaskStep step);
 
   /// Block the calling task for `ticks` tick-interrupts.
@@ -64,7 +76,6 @@ class Kernel {
 
   // --- introspection ------------------------------------------------------
   [[nodiscard]] const Task& task(TaskId id) const { return tasks_.at(id); }
-  [[nodiscard]] Task& task(TaskId id) { return tasks_.at(id); }
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
   [[nodiscard]] const MessageQueue& queue(QueueId id) const { return *queues_.at(id); }
   [[nodiscard]] std::uint64_t ticks() const noexcept { return tick_count_; }
@@ -72,7 +83,8 @@ class Kernel {
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Scheduler invariant checks (used by the property tests): no Running
-  /// residue between slices; blocked tasks have a wake reason.
+  /// residue between slices; blocked tasks have a wake reason; the
+  /// derived ready/priority/wheel sets match the task states exactly.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
   /// Power-on restore: drop every task and queue, rewind kernel time.
@@ -137,11 +149,33 @@ class Kernel {
     tick_count_ = snapshot.tick_count;
     dispatches_ = snapshot.dispatches;
     rr_cursor_ = snapshot.rr_cursor;
+    rebuild_sets();
   }
 
  private:
+  static constexpr std::size_t kWheelSlots = 64;
+
+  /// Tasks sharing one priority; fixed once the task is added.
+  struct PriorityClass {
+    unsigned priority = 0;
+    std::uint64_t tasks = 0;
+  };
+
   /// Wake every task blocked on `queue` (space or data became available).
   void wake_queue_waiters(QueueId queue, bool for_space);
+
+  /// The one place a task's state changes: moves the task between the
+  /// ready mask and the wake wheel as its state leaves and enters them.
+  void set_state(TaskId id, TaskState next);
+
+  /// File a delayed task under the tick on_tick() will find it due.
+  void file_delayed(TaskId id) noexcept;
+
+  /// Add a task to its priority's class (classes stay in descending order).
+  void file_priority(TaskId id) noexcept;
+
+  /// Recompute every derived set from the task table.
+  void rebuild_sets() noexcept;
 
   std::vector<Task> tasks_;
   std::vector<std::unique_ptr<MessageQueue>> queues_;
@@ -150,6 +184,15 @@ class Kernel {
   /// Round-robin cursor within equal priority; starts "before task 0" so
   /// the first dispatch is task 0 (unsigned wrap makes cursor+1 == 0).
   std::size_t rr_cursor_ = static_cast<std::size_t>(-1);
+
+  // Derived scheduler sets (bit i = tasks_[i]); see set_state().
+  std::uint64_t ready_ = 0;
+  std::array<PriorityClass, kMaxTasks> classes_{};
+  std::size_t class_count_ = 0;
+  /// Delayed tasks by fire tick mod kWheelSlots. A delay longer than the
+  /// wheel stays filed across laps until its wake_at is reached.
+  std::array<std::uint64_t, kWheelSlots> wheel_{};
+  std::array<std::uint8_t, kMaxTasks> wheel_slot_{};  ///< where each delayed task is filed
 };
 
 }  // namespace mcs::guest::rtos

@@ -34,6 +34,7 @@ void Hypervisor::reset() {
   cells_.clear();
   config_registry_.clear();
   cpu_owner_.fill(kRootCellId);
+  refresh_cpu_cells();
 }
 
 void Hypervisor::retire_tlb_counters(const Cell& cell) noexcept {
@@ -105,6 +106,7 @@ void Hypervisor::restore_from(const Snapshot& snapshot) {
     }
     it->second->restore_from(cell_snap);
   }
+  refresh_cpu_cells();
 }
 
 void Hypervisor::log(util::Severity severity, int cpu, std::string message) {
@@ -125,12 +127,13 @@ util::Status Hypervisor::enable(CellConfig root_config) {
       MCS_RETURN_IF_ERROR(core.power_on(root->config().entry_point));
       MCS_RETURN_IF_ERROR(core.complete_boot());
     }
-    cpu_owner_[static_cast<std::size_t>(cpu)] = kRootCellId;
+    set_cpu_owner(cpu, kRootCellId);
   }
   root->set_state(CellState::Running);
   retire_all_tlb_counters();
   cells_.clear();
   cells_.emplace(kRootCellId, std::move(root));
+  refresh_cpu_cells();
   enabled_ = true;
   log(util::Severity::Info, 0, "hypervisor enabled, root cell '" +
                                    root_cell().name() + "' running");
@@ -158,9 +161,15 @@ std::vector<Cell*> Hypervisor::cells() noexcept {
   return out;
 }
 
-Cell* Hypervisor::cell_on_cpu(int cpu) noexcept {
-  if (cpu < 0 || cpu >= board_->num_cpus()) return nullptr;
-  return find_cell(cpu_owner_[static_cast<std::size_t>(cpu)]);
+void Hypervisor::set_cpu_owner(int cpu, CellId id) noexcept {
+  cpu_owner_[static_cast<std::size_t>(cpu)] = id;
+  cpu_cell_[static_cast<std::size_t>(cpu)] = find_cell(id);
+}
+
+void Hypervisor::refresh_cpu_cells() noexcept {
+  for (std::size_t cpu = 0; cpu < cpu_cell_.size(); ++cpu) {
+    cpu_cell_[cpu] = find_cell(cpu_owner_[cpu]);
+  }
 }
 
 CellId Hypervisor::cpu_owner(int cpu) const noexcept {
@@ -454,7 +463,7 @@ HvcResult Hypervisor::do_cell_create(int cpu, std::uint32_t config_addr) {
   const CellId id = next_cell_id_++;
   for (const int c : config.cpus) {
     board_->cpu(c).power_off();
-    cpu_owner_[static_cast<std::size_t>(c)] = id;
+    set_cpu_owner(c, id);
   }
   auto cell = std::make_unique<Cell>(id, config, board_->dram());
   for (const mem::MemRegion& region : config.mem_regions) {
@@ -468,6 +477,7 @@ HvcResult Hypervisor::do_cell_create(int cpu, std::uint32_t config_addr) {
   log(util::Severity::Info, cpu,
       "created cell '" + config.name + "' (id " + std::to_string(id) + ")");
   cells_.emplace(id, std::move(cell));
+  refresh_cpu_cells();
   return static_cast<HvcResult>(id);
 }
 
@@ -496,7 +506,7 @@ HvcResult Hypervisor::do_cell_start(std::uint32_t id) {
   // state lives. Reproduced deliberately.
   cell->set_state(CellState::Running);
   for (const int c : cell->config().cpus) {
-    cpu_owner_[static_cast<std::size_t>(c)] = cell->id();
+    set_cpu_owner(c, cell->id());
     const util::Status status = board_->cpu(c).power_on(cell->config().entry_point);
     if (!status.is_ok()) {
       log(util::Severity::Error, c, "cell start: CPU_ON failed: " + status.to_string());
@@ -522,7 +532,7 @@ void Hypervisor::reclaim_cell_resources(Cell& cell) {
   // the root cell" (§III) — and it works even from the inconsistent state.
   for (const int c : cell.config().cpus) {
     board_->cpu(c).power_off();
-    cpu_owner_[static_cast<std::size_t>(c)] = kRootCellId;
+    set_cpu_owner(c, kRootCellId);
   }
   for (const irq::IrqId irq : cell.config().irqs) {
     (void)board_->gic().disable(irq);
@@ -557,6 +567,7 @@ HvcResult Hypervisor::do_cell_destroy(std::uint32_t id) {
   log(util::Severity::Info, -1, "cell '" + cell->name() + "' destroyed");
   retire_tlb_counters(*cell);
   cells_.erase(id);
+  refresh_cpu_cells();
   return 0;
 }
 

@@ -160,7 +160,12 @@ class Hypervisor {
   [[nodiscard]] const Cell* find_cell(CellId id) const noexcept;
   [[nodiscard]] Cell& root_cell() noexcept { return *cells_.at(kRootCellId); }
   [[nodiscard]] std::vector<Cell*> cells() noexcept;
-  [[nodiscard]] Cell* cell_on_cpu(int cpu) noexcept;
+  /// The cell owning `cpu`, or nullptr (out-of-range CPU, or an owner id
+  /// with no live cell). One table load: the machine asks on every busy tick.
+  [[nodiscard]] Cell* cell_on_cpu(int cpu) noexcept {
+    if (cpu < 0 || cpu >= board_->num_cpus()) return nullptr;
+    return cpu_cell_[static_cast<std::size_t>(cpu)];
+  }
   [[nodiscard]] CellId cpu_owner(int cpu) const noexcept;
 
   [[nodiscard]] bool is_panicked() const noexcept { return panicked_; }
@@ -263,6 +268,12 @@ class Hypervisor {
   std::map<CellId, std::unique_ptr<Cell>> cells_;
   std::map<std::uint64_t, CellConfig> config_registry_;
   std::array<CellId, irq::kMaxCpus> cpu_owner_{};
+  /// find_cell(cpu_owner_[cpu]), kept current: every cpu_owner_ write goes
+  /// through set_cpu_owner(), and every cells_ insertion or removal is
+  /// followed by refresh_cpu_cells(). Never snapshotted.
+  std::array<Cell*, irq::kMaxCpus> cpu_cell_{};
+  void set_cpu_owner(int cpu, CellId id) noexcept;
+  void refresh_cpu_cells() noexcept;
   /// Monotonic instrumentation (see stage2_tlb_hits): survives reset and
   /// snapshot restore by design.
   std::uint64_t retired_tlb_hits_ = 0;

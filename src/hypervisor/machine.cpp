@@ -49,7 +49,12 @@ void Machine::run_tick() {
 }
 
 void Machine::deliver_irqs(int cpu) {
+  const irq::Gic& gic = board_->gic();
   for (int i = 0; i < kMaxIrqsPerTick; ++i) {
+    // Exact pre-check: with nothing pending, acknowledge() is spurious and
+    // irqchip_handle_irq returns nullopt without any side effect, so the
+    // call (most of a busy tick's IRQ polls) can be skipped outright.
+    if (!gic.any_pending(cpu)) return;
     const auto delivery = hv_->irqchip_handle_irq(cpu);
     if (!delivery.has_value()) return;
     if (hv_->is_panicked()) return;

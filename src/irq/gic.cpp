@@ -163,8 +163,12 @@ IrqId Gic::acknowledge(int cpu) noexcept {
 }
 
 util::Status Gic::end_of_interrupt(int cpu, IrqId irq) {
-  MCS_RETURN_IF_ERROR(check_irq(irq));
-  MCS_RETURN_IF_ERROR(check_cpu(cpu));
+  // The hypervisor EOIs every acknowledged IRQ with the GIC's own id, so
+  // valid arguments take the same Status-free fast path as the raises.
+  if (irq >= kNumIrqs || cpu < 0 || cpu >= num_cpus_) [[unlikely]] {
+    MCS_RETURN_IF_ERROR(check_irq(irq));
+    return check_cpu(cpu);
+  }
   Line& line = lines_[irq];
   const auto cpu_index = static_cast<std::size_t>(cpu);
   if (!line.active[cpu_index]) {

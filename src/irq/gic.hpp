@@ -84,6 +84,17 @@ class Gic {
   /// True iff `cpu` has any deliverable interrupt (drives the vIRQ wire).
   [[nodiscard]] bool irq_line(int cpu) const noexcept { return peek(cpu) != kSpuriousIrq; }
 
+  /// True iff any line is pending on `cpu`, deliverable or not: a superset
+  /// of irq_line() read straight off the pending bitmap. When false,
+  /// acknowledge(cpu) is certain to return kSpuriousIrq.
+  [[nodiscard]] bool any_pending(int cpu) const noexcept {
+    if (cpu < 0 || cpu >= num_cpus_) return false;
+    for (const std::uint64_t word : pending_bits_[static_cast<std::size_t>(cpu)]) {
+      if (word != 0) return true;
+    }
+    return false;
+  }
+
   // --- fault injection --------------------------------------------------
   /// Assert `irq` pending on `cpu` regardless of line type or routing
   /// (spurious-delivery fault). Out-of-range arguments are ignored. Keeps

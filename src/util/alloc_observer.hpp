@@ -27,7 +27,9 @@ class AllocationObserver {
   /// Scoped window: allocations performed since construction.
   class Window {
    public:
-    Window() noexcept : start_(allocations()) {}
+    // Qualified: unqualified, the name finds Window::allocations(), which
+    // reads start_ before it is initialised.
+    Window() noexcept : start_(AllocationObserver::allocations()) {}
     [[nodiscard]] std::uint64_t allocations() const noexcept {
       return AllocationObserver::allocations() - start_;
     }

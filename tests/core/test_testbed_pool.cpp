@@ -136,6 +136,38 @@ TEST(TestbedPool, SnapshotRestorePerformsZeroHeapAllocations) {
       << "restore_snapshot() must not touch the heap in steady state";
 }
 
+// The busy tick's half: a whole restored observation window of the
+// FreeRTOS workload (no injector attached) is allocation-free once the
+// slot has served one restored window — scheduler, IRQ poll, guest
+// console lines and device ticks included.
+TEST(TestbedPool, RestoredWindowPerformsZeroHeapAllocations) {
+  TestbedPool pool;
+  const TestbedLease lease = pool.acquire("bananapi", "", bananapi_entry());
+  Testbed* testbed = lease.get();
+  const Scenario* scenario = find_scenario("freertos-steady");
+  ASSERT_NE(scenario, nullptr);
+  const std::uint64_t window_ticks = scenario->make_plan().duration_ticks;
+
+  testbed->reset();
+  ASSERT_TRUE(scenario->setup(*testbed).is_ok());
+  scenario->boot(*testbed);
+  testbed->capture_snapshot("busy-tick-pin");
+  ASSERT_TRUE(testbed->restore_snapshot());
+  testbed->run(window_ticks);  // first restored window: buffers reach steady size
+  ASSERT_TRUE(testbed->restore_snapshot());
+
+  const std::uint64_t ticks_before = testbed->board().now().value;
+  std::uint64_t allocations = 0;
+  {
+    const util::AllocationObserver::Window window;
+    testbed->run(window_ticks);
+    allocations = window.allocations();
+  }
+  EXPECT_EQ(testbed->board().now().value - ticks_before, window_ticks);
+  EXPECT_EQ(allocations, 0u)
+      << "a restored busy-tick window must not touch the heap";
+}
+
 // Executor-level reuse: across two pooled campaigns on the same key,
 // slot construction is bounded by the worker count — never by the run
 // or campaign count — and everything beyond those constructions is

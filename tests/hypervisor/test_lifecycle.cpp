@@ -159,5 +159,54 @@ TEST_F(LifecycleTest, ParkedCellCpuRecoversOnlyViaDestroy) {
   EXPECT_TRUE(board_.cpu(1).is_online());
 }
 
+// cell_on_cpu() reads a per-CPU table; after every operation that moves
+// a CPU or creates/removes a cell it must still equal the owner lookup.
+TEST_F(LifecycleTest, CellTableFollowsEveryOwnershipChange) {
+  const auto table_matches = [&](const char* when) {
+    EXPECT_EQ(hv_.cell_on_cpu(-1), nullptr) << when;
+    EXPECT_EQ(hv_.cell_on_cpu(board_.num_cpus()), nullptr) << when;
+    for (int cpu = 0; cpu < board_.num_cpus(); ++cpu) {
+      EXPECT_EQ(hv_.cell_on_cpu(cpu), hv_.find_cell(hv_.cpu_owner(cpu)))
+          << when << ", cpu " << cpu;
+    }
+  };
+  table_matches("enable");
+
+  CellId id = create_cell();
+  table_matches("create");
+  ASSERT_EQ(call(Hypercall::CellStart, id), 0);
+  EXPECT_EQ(hv_.cell_on_cpu(1), hv_.find_cell(id));
+  table_matches("start");
+  machine_.run_ticks(5);
+  Hypervisor::Snapshot snapshot;
+  hv_.snapshot_to(snapshot);
+
+  ASSERT_EQ(call(Hypercall::CellShutdown, id), 0);
+  table_matches("shutdown");
+  ASSERT_EQ(call(Hypercall::CellStart, id), 0);
+  table_matches("restart");
+  ASSERT_EQ(call(Hypercall::CellDestroy, id), 0);
+  table_matches("destroy running");
+
+  hv_.restore_from(snapshot);  // rebuilds the destroyed cell object
+  ASSERT_NE(hv_.find_cell(id), nullptr);
+  EXPECT_EQ(hv_.cell_on_cpu(1), hv_.find_cell(id));
+  table_matches("restore");
+
+  hv_.reset();
+  EXPECT_EQ(hv_.cell_on_cpu(0), nullptr);
+  table_matches("reset");
+  ASSERT_TRUE(hv_.enable(make_root_cell_config()).is_ok());
+  EXPECT_EQ(hv_.cell_on_cpu(0), &hv_.root_cell());
+  table_matches("re-enable");
+
+  // Destroyed before it ever started: the CPU keeps the dead owner id.
+  hv_.register_config(kConfigAddr, make_freertos_cell_config());
+  id = create_cell();
+  ASSERT_EQ(call(Hypercall::CellDestroy, id), 0);
+  EXPECT_EQ(hv_.cell_on_cpu(1), nullptr);
+  table_matches("destroy unstarted");
+}
+
 }  // namespace
 }  // namespace mcs::jh

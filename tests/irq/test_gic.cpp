@@ -368,5 +368,46 @@ TEST(Gic, RaiseFastPathsKeepValidationDiagnostics) {
   EXPECT_EQ(gic.send_sgi(0, 1, 27).message(), "not an SGI");
 }
 
+TEST(Gic, EoiFastPathKeepsValidationDiagnostics) {
+  Gic gic(2);
+  // Out-of-range arguments leave the fast path with the original
+  // messages, irq checked before cpu.
+  EXPECT_EQ(gic.end_of_interrupt(0, kNumIrqs).message(),
+            "irq id out of range: " + std::to_string(kNumIrqs));
+  EXPECT_EQ(gic.end_of_interrupt(7, kSpuriousIrq).message(),
+            "irq id out of range: " + std::to_string(kSpuriousIrq));
+  EXPECT_EQ(gic.end_of_interrupt(2, 27).message(), "cpu out of range: 2");
+  EXPECT_EQ(gic.end_of_interrupt(-1, 27).message(), "cpu out of range: -1");
+  EXPECT_EQ(gic.end_of_interrupt(1, 27).message(), "EOI for non-active irq 27");
+
+  ASSERT_TRUE(gic.raise_ppi(1, 27).is_ok());
+  ASSERT_EQ(gic.acknowledge(1), 27u);
+  EXPECT_TRUE(gic.end_of_interrupt(1, 27).is_ok());
+  EXPECT_FALSE(gic.is_active(27, 1));
+  EXPECT_EQ(gic.end_of_interrupt(1, 27).code(), util::Code::EInval);  // once only
+}
+
+// any_pending() is the machine's empty-queue pre-check: it must be true
+// whenever acknowledge() could return a line, and false exactly when no
+// pending bit is set, deliverable or not.
+TEST(Gic, AnyPendingTracksThePendingBitmap) {
+  Gic gic(2);
+  EXPECT_FALSE(gic.any_pending(0));
+  EXPECT_FALSE(gic.any_pending(-1));
+  EXPECT_FALSE(gic.any_pending(2));
+
+  ASSERT_TRUE(gic.raise_spi(100).is_ok());  // disabled SPI: pending, not deliverable
+  EXPECT_TRUE(gic.any_pending(0));
+  EXPECT_FALSE(gic.any_pending(1));
+  EXPECT_EQ(gic.acknowledge(0), kSpuriousIrq);
+  gic.squash_pending(0, 100);
+  EXPECT_FALSE(gic.any_pending(0));
+
+  ASSERT_TRUE(gic.raise_ppi(1, 27).is_ok());
+  EXPECT_TRUE(gic.any_pending(1));
+  ASSERT_EQ(gic.acknowledge(1), 27u);
+  EXPECT_FALSE(gic.any_pending(1));  // acknowledged: active, no longer pending
+}
+
 }  // namespace
 }  // namespace mcs::irq
