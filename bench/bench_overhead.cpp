@@ -311,7 +311,7 @@ constexpr std::uint64_t kWindowHeavyTicks = 500;
 
 /// Provisioning tiers the executor benches compare. Fresh builds a
 /// testbed per run; Pooled checks out a warm slot and resets + reboots
-/// per run; Snapshot restores the slot's post-boot snapshot per run.
+/// per run; Snapshot restores the slot's rewind point per run.
 enum class ProvisionMode { Fresh, Pooled, Snapshot };
 
 const char* mode_name(ProvisionMode mode) {

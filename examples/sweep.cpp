@@ -60,7 +60,7 @@ void usage(std::ostream& out) {
          "  --logdir DIR          persist per-cell run logs; enables resume\n"
          "  --threads N           executor threads per cell (default: auto)\n"
          "  --no-snapshots        reset + reboot pooled testbeds per run\n"
-         "                        instead of restoring post-boot snapshots\n"
+         "                        instead of restoring rewind points\n"
          "  --no-parallel-resume  rebuild completed cells from their logs\n"
          "                        one by one instead of on a thread pool\n"
          "distributed execution (multi-process cell leasing over --logdir):\n"

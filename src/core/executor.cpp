@@ -22,6 +22,19 @@ RunResult harness_error(std::string detail) {
   return result;
 }
 
+/// The tuning fields jh::apply_cell_tuning applies to the machine, in one
+/// canonical form. `board` picks the slot's board and `fault domain`
+/// never reaches the machine, so neither is here.
+std::string machine_tuning_key(const jh::CellTuning& tuning) {
+  std::string key;
+  if (tuning.ram_size != 0) key += "ram " + std::to_string(tuning.ram_size);
+  if (tuning.has_console_kind) {
+    if (!key.empty()) key += '\n';
+    key += "console " + std::to_string(static_cast<int>(tuning.console_kind));
+  }
+  return key;
+}
+
 }  // namespace
 
 CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
@@ -51,12 +64,11 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
   // (first included), exactly as the per-run lookup did.
   board_name_ = !tuning_.board.empty() ? tuning_.board : plan_.board;
   board_ = platform::BoardRegistry::instance().entry(board_name_);
-  // Snapshot identity ('\x1f' separators match the pool's key encoding).
+  // Slot identity ('\x1f' separators match the pool's key encoding).
   const char* policy_tag =
       config_.tick_policy == jh::TickPolicy::PerTick ? "pertick" : "event";
+  machine_tuning_ = machine_tuning_key(tuning_);
   pool_extra_key_ = plan_.scenario + '\x1f' + policy_tag;
-  snapshot_key_ =
-      board_name_ + '\x1f' + plan_.cell_tuning + '\x1f' + pool_extra_key_;
 }
 
 TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
@@ -66,11 +78,10 @@ TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
       !tuning_status_.is_ok()) {
     return TestbedLease{};
   }
-  // With snapshots on, slots are keyed by snapshot identity too, so a
-  // parked slot's held snapshot is always valid for the campaign that
-  // checks it out next.
+  // With snapshots on, slots are keyed by scenario and tick policy too,
+  // so a parked slot's rewind point is one its next campaign may share.
   return TestbedPool::instance().acquire(
-      board_name_, plan_.cell_tuning, *board_,
+      board_name_, machine_tuning_, *board_,
       config_.use_snapshots ? pool_extra_key_ : std::string());
 }
 
@@ -89,22 +100,21 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     return harness_error("unknown board '" + board_name_ + "'");
   }
 
-  // Each run gets a post-boot (or power-on) testbed, cheapest first:
-  //   1. snapshot restore — the slot holds a post-boot snapshot for this
-  //      campaign shape: bulk-copy it back, skip setup + boot entirely;
-  //   2. pooled reset   — reset the slot to power-on, setup + boot;
+  // Each run starts from the cheapest testbed that is exact:
+  //   1. rewind point — the slot holds a snapshot for this rewind key:
+  //      bulk-copy it back and run only the rest of the window;
+  //   2. pooled reset   — reset the slot to power-on, setup + boot (and,
+  //      with snapshots on, learn the rewind point);
   //   3. fresh build    — private board from the cached registry entry.
   // Bit-identical in all three modes — the reuse- and snapshot-
-  // equivalence suites pin it. Scenarios that inject during boot can
-  // never restore (the injected boot is the experiment).
+  // equivalence suites pin it.
   const bool arm_during_boot = scenario->arm_during_boot(plan_);
-  const bool snapshot_eligible =
-      reused != nullptr && config_.use_snapshots && !arm_during_boot;
+  const bool rewindable = reused != nullptr && config_.use_snapshots;
   std::optional<Testbed> fresh;
   Testbed* testbed = reused;
   bool restored = false;
   if (testbed != nullptr) {
-    if (snapshot_eligible && testbed->has_snapshot(snapshot_key_)) {
+    if (rewindable && testbed->has_snapshot(rewind_key_)) {
       restored = testbed->restore_snapshot();
     }
     if (!restored) testbed->reset();
@@ -114,7 +124,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   }
   if (!restored) {
     // Restored state already carries policy, tuning and the booted cells
-    // (the snapshot key guarantees they match); only the reset/fresh
+    // (the rewind key guarantees they match); only the reset/fresh
     // paths configure and boot.
     testbed->set_tick_policy(config_.tick_policy);
     if (!tuning_.empty()) testbed->set_cell_tuning(tuning_);
@@ -133,28 +143,32 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   Injector injector(plan_, run_seed, testbed->board().clock());
   RunMonitor monitor;
 
-  if (arm_during_boot) {
-    // §III high-intensity shape: the injector is live while the root
-    // shell creates and starts the cell.
+  if (restored) {
+    // Resume where the learning run stood: its window marks, its call
+    // count, its window close. A structured window's point is always
+    // window open, so observe() runs it whole.
+    const RunPoint& point = testbed->snapshot().point;
+    monitor.resume(point.marks);
+    injector.set_filtered_calls(point.filtered_calls);
     injector.attach(testbed->hypervisor());
+    if (scenario->flat_window(*testbed)) {
+      testbed->run_until(util::Ticks{point.window_close});
+    } else {
+      scenario->observe(*testbed, plan_);
+    }
+  } else {
+    // §III high-intensity shape: the injector is live while the root
+    // shell creates and starts the cell. Figure 3 shape: boot clean, then
+    // inject into the steady state.
+    if (arm_during_boot) injector.attach(testbed->hypervisor());
     scenario->boot(*testbed);
     monitor.begin(*testbed);
-    scenario->observe(*testbed, plan_);
-  } else {
-    // Figure 3 shape: boot clean, then inject into the steady state.
-    if (!restored) {
-      scenario->boot(*testbed);
-      if (snapshot_eligible) {
-        // Boot once, inject many: every later run of this slot restores.
-        testbed->capture_snapshot(snapshot_key_);
-        TestbedPool::instance().record_capture(
-            testbed->snapshot_bytes(),
-            testbed->board().dram().dirty_pages());
-      }
+    if (!arm_during_boot) injector.attach(testbed->hypervisor());
+    if (rewindable) {
+      learn_window(*scenario, *testbed, monitor, injector);
+    } else {
+      scenario->observe(*testbed, plan_);
     }
-    monitor.begin(*testbed);
-    injector.attach(testbed->hypervisor());
-    scenario->observe(*testbed, plan_);
   }
   if (reused != nullptr) {
     restored ? TestbedPool::instance().record_restore()
@@ -183,6 +197,37 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   return result;
 }
 
+void CampaignExecutor::learn_window(const Scenario& scenario, Testbed& testbed,
+                                    const RunMonitor& monitor,
+                                    const Injector& injector) const {
+  const util::Ticks close =
+      testbed.board().now() + util::Ticks{plan_.duration_ticks};
+  // A point is shared only while nothing has been injected.
+  const auto capture = [&] {
+    if (injector.injections() != 0) return;
+    testbed.capture_snapshot(
+        rewind_key_, RunPoint{monitor.marks(), injector.filtered_calls(), close.value});
+    TestbedPool::instance().record_capture(testbed.snapshot_bytes(),
+                                           testbed.board().dram().dirty_pages());
+  };
+  capture();  // window open
+  if (!scenario.flat_window(testbed)) {
+    scenario.observe(testbed, plan_);
+    return;
+  }
+  // Step to the last tick boundary before the first injecting call: the
+  // injector has then counted every call before it.
+  const std::uint64_t first = plan_.first_injection_call();
+  const std::uint64_t shared_calls = first == 0 ? 0 : first - 1;
+  bool stepped = false;
+  while (injector.filtered_calls() < shared_calls && testbed.board().now() < close) {
+    testbed.run(1);
+    stepped = true;
+  }
+  if (stepped) capture();
+  testbed.run_until(close);
+}
+
 RunResult CampaignExecutor::execute_one(std::uint64_t run_seed) const {
   return run_with(find_scenario(plan_.scenario), run_seed, nullptr);
 }
@@ -199,6 +244,15 @@ CampaignResult CampaignExecutor::execute() {
   for (std::uint64_t& seed : seeds) seed = seeder.next();
 
   const Scenario* scenario = find_scenario(plan_.scenario);
+  if (scenario != nullptr) {
+    rewind_key_ = board_name_ + '\x1f' + machine_tuning_ + '\x1f' +
+                  pool_extra_key_ + '\x1f' +
+                  std::to_string(static_cast<int>(plan_.target)) + '\x1f' +
+                  std::to_string(plan_.cpu_filter) + '\x1f' +
+                  std::to_string(plan_.first_injection_call()) + '\x1f' +
+                  (scenario->arm_during_boot(plan_) ? "boot" : "window") +
+                  '\x1f' + std::to_string(plan_.duration_ticks);
+  }
 
   const unsigned threads =
       config_.threads == 0 ? util::ThreadPool::default_threads() : config_.threads;

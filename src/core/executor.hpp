@@ -9,17 +9,25 @@
 // scheduling can reorder *completion*, never *content*.
 //
 // Run lifecycle: by default each worker thread checks one long-lived
-// (board, testbed) slot out of the fi::TestbedPool for its whole shard
-// and, on the slot's first run for this campaign shape, boots it once and
-// captures a post-boot TestbedSnapshot; every later run restores that
-// snapshot by bulk copy instead of resetting + re-booting
-// (boot-once/inject-many). Scenarios that inject *during* boot are
-// snapshot-ineligible and keep reset + boot per run. The board name and
-// registry entry are resolved once at construction, never in the per-run
-// loop. ExecutorConfig::use_snapshots = false falls back to
-// checkout/reset-per-run; reuse_testbeds = false restores build-per-run
-// (fresh construction) — results are bit-identical in all three modes
-// (the reuse- and snapshot-equivalence suites assert it).
+// (board, testbed) slot out of the fi::TestbedPool for its whole shard.
+// The slot holds one snapshot, a *rewind point*: the latest tick boundary
+// that every run of the plan shares. A run's seed reaches only its
+// Injector, which draws from its RNG only when it injects, so all runs of
+// a plan are identical up to the tick of their first injecting call. The
+// slot's first run for a rewind key is its learning run: it resets and
+// boots, captures at window open if nothing was injected yet, and, when
+// the scenario's window is flat (one run_until to the close), steps tick
+// by tick until the injector has counted every call before the first
+// injecting one (or the window closes) and captures again there. Every
+// later run restores the point, resumes the monitor's marks and the
+// injector's call count from it, and runs only the rest of the window.
+// Scenarios whose first injection falls during boot have no rewind point
+// and reset + boot per run. The board name and registry entry are
+// resolved once at construction, never in the per-run loop.
+// ExecutorConfig::use_snapshots = false falls back to checkout/reset-per-
+// run; reuse_testbeds = false restores build-per-run (fresh
+// construction) — results are bit-identical in all three modes (the
+// reuse- and snapshot-equivalence suites assert it).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +41,9 @@
 #include "platform/board_registry.hpp"
 
 namespace mcs::fi {
+
+class Injector;
+class RunMonitor;
 
 struct ExecutorConfig {
   /// Worker threads; 0 → util::ThreadPool::default_threads() (the
@@ -55,9 +66,10 @@ struct ExecutorConfig {
   /// for those golden comparisons and for the pooled-vs-fresh benchmark.
   bool reuse_testbeds = true;
 
-  /// Provision runs from a post-boot snapshot (boot once per slot, then
-  /// restore-per-run) when the scenario allows it. Only effective with
-  /// reuse_testbeds; false falls back to reset + boot per run.
+  /// Provision runs from the slot's rewind point (learn it once per slot
+  /// and rewind key, then restore-per-run) when the plan has one. Only
+  /// effective with reuse_testbeds; false falls back to reset + boot per
+  /// run.
   /// Bit-identical results either way (the snapshot-equivalence suite
   /// asserts it); false exists for those golden comparisons and for the
   /// snapshot-vs-pooled benchmark.
@@ -108,16 +120,21 @@ class CampaignExecutor {
   }
 
  private:
-  /// One run on `reused` (reset to power-on first) or, when null, on a
-  /// freshly built testbed.
+  /// One run on `reused` (restored to its rewind point, else reset to
+  /// power-on) or, when null, on a freshly built testbed.
   [[nodiscard]] RunResult run_with(const Scenario* scenario,
                                    std::uint64_t run_seed,
                                    Testbed* reused) const;
 
-  /// A pool lease for this executor's (board, tuning) key, or an empty
-  /// lease when pooling is off or the campaign can only produce
-  /// HarnessErrors (unknown scenario/board, malformed tuning) — error
-  /// campaigns must not provision hardware.
+  /// The learning run's window on a pooled slot: capture the rewind
+  /// point(s) while running the window to its close.
+  void learn_window(const Scenario& scenario, Testbed& testbed,
+                    const RunMonitor& monitor, const Injector& injector) const;
+
+  /// A pool lease for this executor's slot key, or an empty lease when
+  /// pooling is off or the campaign can only produce HarnessErrors
+  /// (unknown scenario/board, malformed tuning) — error campaigns must
+  /// not provision hardware.
   [[nodiscard]] TestbedLease lease_slot(const Scenario* scenario) const;
 
   TestPlan plan_;
@@ -131,13 +148,20 @@ class CampaignExecutor {
   /// registry key and its cached entry (nullptr → per-run HarnessError).
   std::string board_name_;
   std::shared_ptr<const platform::BoardRegistry::Entry> board_;
-  /// Snapshot identity, precomputed once: what of the boot-time state the
-  /// plan can influence. setup()/boot() see only (board, tuning, scenario,
-  /// tick policy) — never the injection plan — so runs with equal keys
-  /// boot to bit-identical state. `pool_extra_key_` is the suffix the
-  /// pool adds to its slot key so parked snapshots match their campaigns.
-  std::string snapshot_key_;
+  /// Slot key, precomputed once: the board plus what setup()/boot() see
+  /// of the plan — the tuning fields that reach the machine (RAM size,
+  /// console kind), the scenario and the tick policy. Runs with equal
+  /// slot keys boot to bit-identical state; the fault domain and every
+  /// other injection field stay out. `machine_tuning_` and
+  /// `pool_extra_key_` are the parts the pool joins to the board name.
+  std::string machine_tuning_;
   std::string pool_extra_key_;
+  /// Rewind key: the slot key plus what decides the shared prefix — hook
+  /// target, CPU filter, first injecting call, arm-during-boot and window
+  /// length. Completed by execute() once the scenario is resolved; the
+  /// seed, fault model, registers, count, domain and the rate beyond the
+  /// first call stay out.
+  std::string rewind_key_;
 };
 
 }  // namespace mcs::fi

@@ -45,13 +45,21 @@ class Injector {
   void attach(jh::Hypervisor& hv);
   void detach(jh::Hypervisor& hv);
 
-  /// The hook body (public so tests can drive it directly).
+  /// The hook body (public so tests can drive it directly). The RNG is
+  /// drawn from only on a call that injects; every earlier call just
+  /// counts. So a run's seed cannot reach the machine before its first
+  /// injecting call, which is what lets the executor share that prefix
+  /// between runs (rewind points).
   void on_entry(jh::HookPoint point, arch::EntryFrame& frame);
 
   /// Pause/resume injection without losing counters (campaigns disarm
   /// the injector during the observation-only epilogue).
   void set_armed(bool armed) noexcept { armed_ = armed; }
   [[nodiscard]] bool armed() const noexcept { return armed_; }
+
+  /// Continue counting from `calls` filtered calls — the count a run
+  /// resumed from a rewind point had reached when it was captured.
+  void set_filtered_calls(std::uint64_t calls) noexcept { calls_ = calls; }
 
   // --- statistics ---------------------------------------------------------
   [[nodiscard]] std::uint64_t filtered_calls() const noexcept { return calls_; }

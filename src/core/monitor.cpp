@@ -3,12 +3,11 @@
 namespace mcs::fi {
 
 void RunMonitor::begin(Testbed& testbed) {
-  window_open_tick_ = testbed.board().now().value;
-  uart1_mark_ = testbed.board().uart1().total_bytes();
-  led_mark_ = testbed.board().gpio().led_toggles();
-  validated_mark_ = testbed.freertos().messages_validated();
+  marks_.open_tick = testbed.board().now().value;
+  marks_.uart1 = testbed.board().uart1().total_bytes();
+  marks_.led = testbed.board().gpio().led_toggles();
   jh::Cell* workload = testbed.workload_cell();
-  workload_console_mark_ = workload != nullptr ? workload->console_bytes : 0;
+  marks_.workload_console = workload != nullptr ? workload->console_bytes : 0;
 }
 
 // The monitored workload cell is whatever the scenario last booted on the
@@ -21,8 +20,8 @@ RunResult RunMonitor::finish(Testbed& testbed) const {
   platform::Board& board = testbed.board();
   jh::Hypervisor& hv = testbed.hypervisor();
 
-  result.uart1_bytes = board.uart1().bytes_since(uart1_mark_);
-  result.led_toggles = board.gpio().led_toggles() - led_mark_;
+  result.uart1_bytes = board.uart1().bytes_since(marks_.uart1);
+  result.led_toggles = board.gpio().led_toggles() - marks_.led;
   result.traps = hv.counters().traps;
   result.hvcs = hv.counters().hvcs;
   result.irqs = hv.counters().irqs;
@@ -147,7 +146,7 @@ RunResult RunMonitor::finish(Testbed& testbed) const {
   //    output. Single-cell deployments keep the USART observable the
   //    paper's analysts watched.
   const std::uint64_t live_bytes =
-      secondary != nullptr ? cell->console_bytes - workload_console_mark_
+      secondary != nullptr ? cell->console_bytes - marks_.workload_console
                            : result.uart1_bytes;
   if (live_bytes >= kLiveOutputThreshold) {
     result.outcome = Outcome::Correct;

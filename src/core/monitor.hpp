@@ -22,27 +22,30 @@ class RunMonitor {
   /// marks are comparable run to run and across tick policies.
   void begin(Testbed& testbed);
 
+  /// Adopt the baseline of a window begin() opened earlier — a run
+  /// resumed from a rewind point carries the marks of the run that
+  /// captured it.
+  void resume(const WindowMarks& marks) noexcept { marks_ = marks; }
+
   /// Classify at window close. Fills outcome/detail/observable fields of
   /// a RunResult (the campaign adds injection bookkeeping on top).
   [[nodiscard]] RunResult finish(Testbed& testbed) const;
 
+  /// The baseline begin() recorded. `workload_console` matters on boards
+  /// hosting a concurrent secondary cell: the shared USART aggregates
+  /// both consoles, so workload liveness is judged by the cell's counter.
+  [[nodiscard]] const WindowMarks& marks() const noexcept { return marks_; }
+
   /// Board tick at which begin() opened the watch window.
   [[nodiscard]] std::uint64_t window_open_tick() const noexcept {
-    return window_open_tick_;
+    return marks_.open_tick;
   }
 
   /// Minimum USART bytes in the window for the cell to count as live.
   static constexpr std::uint64_t kLiveOutputThreshold = 8;
 
  private:
-  std::uint64_t window_open_tick_ = 0;
-  std::uint64_t uart1_mark_ = 0;
-  std::uint64_t led_mark_ = 0;
-  std::uint64_t validated_mark_ = 0;
-  /// Workload cell's own console-byte counter at window open: on boards
-  /// hosting a concurrent secondary cell the shared USART aggregates both
-  /// consoles, so workload liveness is judged by the cell's counter.
-  std::uint64_t workload_console_mark_ = 0;
+  WindowMarks marks_;
 };
 
 /// Post-mortem probe for §III's recovery claims: issue `jailhouse cell

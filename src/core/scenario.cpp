@@ -120,6 +120,9 @@ class DualCellScenario final : public Scenario {
     testbed.boot_osek_cell();
     testbed.run_until(window_close);
   }
+  [[nodiscard]] bool flat_window(const Testbed& testbed) const override {
+    return testbed.supports_concurrent_cells();
+  }
 };
 
 // --- ivshmem-traffic --------------------------------------------------------
@@ -275,6 +278,9 @@ class IvshmemTrafficScenario final : public Scenario {
       }
     }
     testbed.run_until(window_close);
+  }
+  [[nodiscard]] bool flat_window(const Testbed&) const override {
+    return false;
   }
 };
 

@@ -61,6 +61,17 @@ class Scenario {
   /// phases in between are sliced.
   virtual void observe(Testbed& testbed, const TestPlan& plan) const;
 
+  /// Whether observe() on this testbed is the default flat window: one
+  /// run_until() to the close and nothing else. The executor may then
+  /// split the window at any tick boundary and resume a run mid-window
+  /// from a rewind point. A scenario that overrides observe() with
+  /// anything more (traffic, a mid-window swap) must return false here;
+  /// its runs then rewind only to window open. Default: true.
+  [[nodiscard]] virtual bool flat_window(const Testbed& testbed) const {
+    (void)testbed;
+    return true;
+  }
+
   /// Post-window, pre-classification epilogue (injector already disarmed).
   /// Default: nothing.
   virtual void epilogue(Testbed& testbed) const { (void)testbed; }

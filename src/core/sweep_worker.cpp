@@ -26,12 +26,24 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string lease_body(const std::string& worker_id, long pid,
-                       std::uint64_t heartbeats) {
+                       std::uint64_t heartbeats, std::uint64_t generation) {
   std::ostringstream out;
   out << "worker " << worker_id << "\n"
       << "pid " << pid << "\n"
-      << "heartbeat " << heartbeats << "\n";
+      << "heartbeat " << heartbeats << "\n"
+      << "generation " << generation << "\n";
   return out.str();
+}
+
+/// Write `body` to a fresh file at `path`; false (and no file) on error.
+bool write_scratch(const std::string& path, const std::string& body) {
+  std::ofstream out(path, std::ios::trunc);
+  out << body;
+  out.flush();
+  if (out) return true;
+  std::error_code ec;
+  fs::remove(path, ec);
+  return false;
 }
 
 /// Seconds since the file's mtime, by the filesystem's own clock — the
@@ -84,6 +96,7 @@ CellLease::CellLease(CellLease&& other) noexcept
       worker_id_(std::move(other.worker_id_)),
       pid_(other.pid_),
       heartbeats_(other.heartbeats_),
+      generation_(other.generation_),
       stole_(other.stole_) {
   other.path_.clear();
 }
@@ -95,6 +108,7 @@ CellLease& CellLease::operator=(CellLease&& other) noexcept {
     worker_id_ = std::move(other.worker_id_);
     pid_ = other.pid_;
     heartbeats_ = other.heartbeats_;
+    generation_ = other.generation_;
     stole_ = other.stole_;
     other.path_.clear();
   }
@@ -132,6 +146,8 @@ std::optional<LeaseInfo> CellLease::read(const std::string& log_dir,
       info.pid = std::strtol(value.c_str(), nullptr, 10);
     } else if (key == "heartbeat") {
       info.heartbeats = std::strtoull(value.c_str(), nullptr, 10);
+    } else if (key == "generation") {
+      info.generation = std::strtoull(value.c_str(), nullptr, 10);
     }
   }
   return info;
@@ -144,23 +160,29 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
   const std::string lease = lease_path(log_dir, cell_id);
   const long pid = static_cast<long>(::getpid());
   const std::string unique = "." + worker_id + "." + std::to_string(pid);
-  bool stole = false;
+  const std::string tmp = lease + unique + ".claim";
+  const auto claimed = [&](std::uint64_t generation, bool stole) {
+    CellLease lease_held;
+    lease_held.path_ = lease;
+    lease_held.worker_id_ = worker_id;
+    lease_held.pid_ = pid;
+    lease_held.generation_ = generation;
+    lease_held.stole_ = stole;
+    return lease_held;
+  };
+  // Strictly younger than the TTL counts alive — so ttl == 0 makes any
+  // existing lease stealable, as the header promises.
+  const auto alive = [ttl](double age_seconds) {
+    return age_seconds * 1000.0 < static_cast<double>(ttl.count());
+  };
 
   // A few rounds: each failed claim either finds a live holder (EBusy)
-  // or makes progress (a released/stolen lease vanishes); the bound only
-  // guards against pathological claim/release churn.
+  // or makes progress (a released/stolen lease vanishes or turns fresh);
+  // the bound only guards against pathological claim/release churn.
   for (int attempt = 0; attempt < 4; ++attempt) {
-    const std::string tmp = lease + unique + ".claim";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << lease_body(worker_id, pid, 0);
-      out.flush();
-      if (!out) {
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return util::Status(util::Code::EIo,
-                            "cannot write lease temp '" + tmp + "'");
-      }
+    if (!write_scratch(tmp, lease_body(worker_id, pid, 0, 0))) {
+      return util::Status(util::Code::EIo,
+                          "cannot write lease temp '" + tmp + "'");
     }
     // link(2), not O_CREAT|O_EXCL: atomic on POSIX shared filesystems
     // (historic NFS caveat), and exactly one claimer's link succeeds.
@@ -168,14 +190,7 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
     const int link_errno = errno;
     std::error_code ec;
     fs::remove(tmp, ec);
-    if (linked == 0) {
-      CellLease claimed;
-      claimed.path_ = lease;
-      claimed.worker_id_ = worker_id;
-      claimed.pid_ = pid;
-      claimed.stole_ = stole;
-      return claimed;
-    }
+    if (linked == 0) return claimed(0, false);
     if (link_errno != EEXIST) {
       return util::Status(util::Code::EIo,
                           "cannot link lease '" + lease +
@@ -186,22 +201,51 @@ util::Expected<CellLease> CellLease::try_claim(const std::string& log_dir,
     // vanished lease (released between our link and read) → retry.
     const std::optional<LeaseInfo> holder = read(log_dir, cell_id);
     if (!holder) continue;
-    // Strictly younger than the TTL counts alive — so ttl == 0 makes any
-    // existing lease stealable, as the header promises.
-    if (holder->age_seconds * 1000.0 < static_cast<double>(ttl.count())) {
+    if (alive(holder->age_seconds)) {
       return util::busy("cell '" + cell_id + "' leased by worker '" +
                         holder->worker_id + "'");
     }
 
-    // Stale: steal by renaming to a claimant-unique name. rename(2) is
-    // atomic, so of N concurrent stealers exactly one wins; the losers
-    // just find the lease gone and retry the normal claim path.
-    const std::string stolen = lease + unique + ".stale";
-    fs::rename(lease, stolen, ec);
-    if (!ec) {
-      stole = true;
-      fs::remove(stolen, ec);
+    // Stale. Stealing generation g means creating the successor name
+    // `<cell>.lease.<g+1>` with link(2): of all stealers that judged
+    // generation g stale, exactly one succeeds. The winner re-reads the
+    // lease — another stealer may have replaced generation g before this
+    // one judged it — and only a still-stale generation g is replaced,
+    // atomically, by a lease of generation g+1. The successor name is
+    // removed afterwards; a late stealer that recreates it finds the
+    // lease moved on and backs off. A successor name older than the TTL
+    // is a crashed stealer's and is cleared.
+    const std::uint64_t generation = holder->generation + 1;
+    const std::string successor = lease + "." + std::to_string(generation);
+    if (!write_scratch(tmp, lease_body(worker_id, pid, 0, generation))) {
+      return util::Status(util::Code::EIo,
+                          "cannot write lease temp '" + tmp + "'");
     }
+    if (::link(tmp.c_str(), successor.c_str()) != 0) {
+      const int successor_errno = errno;
+      fs::remove(tmp, ec);
+      if (successor_errno != EEXIST) {
+        return util::Status(util::Code::EIo,
+                            "cannot link lease successor '" + successor +
+                                "': " + std::strerror(successor_errno));
+      }
+      const double successor_age = age_of(successor, ec);
+      if (!ec && !alive(successor_age)) {
+        const std::string cleared = successor + unique + ".stale";
+        fs::rename(successor, cleared, ec);
+        if (!ec) fs::remove(cleared, ec);
+      }
+      continue;
+    }
+    const std::optional<LeaseInfo> now = read(log_dir, cell_id);
+    const bool still_stale = now && now->generation == holder->generation &&
+                             now->worker_id == holder->worker_id &&
+                             now->pid == holder->pid && !alive(now->age_seconds);
+    if (still_stale) fs::rename(tmp, lease, ec);
+    const bool stole = still_stale && !ec;
+    fs::remove(tmp, ec);
+    fs::remove(successor, ec);
+    if (stole) return claimed(generation, true);
   }
   return util::busy("cell '" + cell_id + "' lease contended");
 }
@@ -223,7 +267,7 @@ bool CellLease::heartbeat() {
   }
   ++heartbeats_;
   const util::Status wrote = write_text_atomic(
-      path_, lease_body(worker_id_, pid_, heartbeats_),
+      path_, lease_body(worker_id_, pid_, heartbeats_, generation_),
       worker_id_ + ".hb");
   return wrote.is_ok();
 }

@@ -16,7 +16,8 @@
 //
 // Lease protocol (all paths under the sweep logdir):
 //
-//   <cell>.lease   the claim file: "worker <id>\npid <p>\nheartbeat <n>\n"
+//   <cell>.lease   the claim file: "worker <id>\npid <p>\nheartbeat <n>\n
+//                  generation <g>\n" (generation 0 for a fresh claim)
 //   claim          write a unique temp file, then link(2) it to
 //                  <cell>.lease — link fails with EEXIST when the lease
 //                  exists, so exactly one claimer wins (atomic on POSIX
@@ -25,9 +26,15 @@
 //   heartbeat      periodically rewrite the lease (atomic replace),
 //                  bumping its mtime + heartbeat counter
 //   stale          lease mtime older than the TTL → holder presumed dead
-//   steal          rename(2) the stale lease to a claimant-unique name —
-//                  atomic, so exactly one stealer wins — unlink it, then
-//                  claim normally
+//   steal          link(2) a claim of generation g+1 to the successor
+//                  name <cell>.lease.<g+1> — exactly one stealer of a
+//                  stale generation g wins it — then re-read the lease
+//                  and, only if it is still that stale generation g,
+//                  rename(2) the claim over it and unlink the successor.
+//                  A stealer that judged g stale after a peer already
+//                  replaced it finds g+1 in place and backs off; renaming
+//                  the lease away instead (the old protocol) could take a
+//                  peer's fresh claim and let two stealers win.
 //   release        unlink
 //
 // Crash tolerance: a worker killed mid-cell leaves a lease that stops
@@ -57,6 +64,7 @@ struct LeaseInfo {
   std::string worker_id;
   long pid = 0;
   std::uint64_t heartbeats = 0;
+  std::uint64_t generation = 0;  ///< steals since the last fresh claim
   double age_seconds = 0.0;  ///< since the last heartbeat (lease mtime)
 };
 
@@ -95,9 +103,9 @@ class CellLease {
 
   /// Claim `<log_dir>/<cell_id>.lease` for `worker_id`. EBusy when a
   /// live (heartbeat younger than `ttl`) holder has it; a stale lease is
-  /// stolen via a unique rename first, so concurrent reclaimers of a
-  /// dead worker's cell resolve to exactly one winner. EIo on
-  /// filesystem errors.
+  /// stolen through its generation's successor name, so concurrent
+  /// reclaimers of a dead worker's cell resolve to exactly one winner.
+  /// EIo on filesystem errors.
   [[nodiscard]] static util::Expected<CellLease> try_claim(
       const std::string& log_dir, const std::string& cell_id,
       const std::string& worker_id, std::chrono::milliseconds ttl);
@@ -115,6 +123,7 @@ class CellLease {
   std::string worker_id_;
   long pid_ = 0;
   std::uint64_t heartbeats_ = 0;
+  std::uint64_t generation_ = 0;
   bool stole_ = false;
 };
 

@@ -33,6 +33,10 @@ void Testbed::reset() {
 }
 
 void Testbed::capture_snapshot(const std::string& key) {
+  capture_snapshot(key, RunPoint{});
+}
+
+void Testbed::capture_snapshot(const std::string& key, const RunPoint& point) {
   // The snapshot owns the arena base: drop previous snapshot + scratch.
   run_arena_.reset();
   board_->snapshot_to(snapshot_.board, run_arena_);
@@ -47,6 +51,7 @@ void Testbed::capture_snapshot(const std::string& key) {
   snapshot_.ivshmem = ivshmem_;
   snapshot_.tuning = tuning_;
   snapshot_.ivshmem_stats = ivshmem_stats_;
+  snapshot_.point = point;
   snapshot_.arena_mark = run_arena_.mark();
   snapshot_.key = key;
   snapshot_.bytes = snapshot_.board.dram.bytes();

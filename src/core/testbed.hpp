@@ -51,13 +51,33 @@ struct IvshmemTrafficStats {
   }
 };
 
-/// Everything a run can mutate, captured once after a slot's first boot
-/// for a given (scenario, board, tuning, tick-policy) identity key and
-/// bulk-copied back by Testbed::restore_snapshot() instead of a full
-/// reset() + re-boot. Page payloads live in the testbed's run arena
-/// *below* `arena_mark`; per-run scratch is placed above the mark, and
-/// restore rewinds to it — so the snapshot survives any number of runs
-/// while run-scoped allocations are reclaimed.
+/// The observation baseline fi::RunMonitor::begin() records when a watch
+/// window opens; finish() classifies against it.
+struct WindowMarks {
+  std::uint64_t open_tick = 0;  ///< board tick the window opened at
+  std::uint64_t uart1 = 0;      ///< USART1 bytes captured so far
+  std::uint64_t led = 0;        ///< LED toggles so far
+  /// Workload cell's own console-byte counter (0 without a cell).
+  std::uint64_t workload_console = 0;
+};
+
+/// What a run resumed from a mid-run snapshot needs besides the machine:
+/// where its window opened, how far its injector had counted, and where
+/// the window closes. Carried by TestbedSnapshot so a rewind point and
+/// its run context are captured and replaced together.
+struct RunPoint {
+  WindowMarks marks;
+  std::uint64_t filtered_calls = 0;  ///< fi::Injector::filtered_calls()
+  std::uint64_t window_close = 0;    ///< absolute board tick
+};
+
+/// Everything a run can mutate, captured at a tick boundary of a slot's
+/// learning run (see fi::CampaignExecutor) and bulk-copied back by
+/// Testbed::restore_snapshot() instead of a full reset() + re-boot +
+/// replay. Page payloads live in the testbed's run arena *below*
+/// `arena_mark`; per-run scratch is placed above the mark, and restore
+/// rewinds to it — so the snapshot survives any number of runs while
+/// run-scoped allocations are reclaimed.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -74,8 +94,10 @@ struct TestbedSnapshot {
   jh::CellTuning tuning;
   IvshmemTrafficStats ivshmem_stats;
 
+  RunPoint point;                  ///< the captured run's context
+
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
-  std::string key;                 ///< identity: scenario\x1fboard\x1ftuning\x1fpolicy
+  std::string key;                 ///< identity (the executor's rewind key)
   std::size_t bytes = 0;           ///< captured DRAM payload bytes (dirty pages)
 };
 
@@ -112,11 +134,16 @@ class Testbed {
   [[nodiscard]] util::Arena& run_arena() noexcept { return run_arena_; }
 
   // --- snapshot warm-start ------------------------------------------------
-  /// Capture the whole post-boot testbed state under `key`. Rewinds the
-  /// run arena first (the snapshot owns its base), so call only at a
-  /// run boundary — right after a scenario's setup + boot. Replaces any
-  /// previous snapshot.
+  /// Capture the whole testbed state under `key`, at any tick boundary
+  /// of a run: after setup + boot, or mid-window between two run_until()
+  /// calls. Rewinds the run arena first (the snapshot owns its base), so
+  /// nothing the run placed in the arena may be live across the call.
+  /// Replaces any previous snapshot: a testbed holds one, and restores
+  /// cut append-only state (UART capture, event log, root records) back
+  /// to its captured length, so it can only rewind along its current
+  /// history. The overload also stores the run's context (`point`).
   void capture_snapshot(const std::string& key);
+  void capture_snapshot(const std::string& key, const RunPoint& point);
 
   /// True iff a snapshot captured under exactly `key` is held.
   [[nodiscard]] bool has_snapshot(const std::string& key) const noexcept {

@@ -14,7 +14,11 @@
 // Slots are keyed by (board_name, tuning text) even though reset()
 // restores power-on state regardless of the previous occupant — the key
 // keeps a slot's arena warm for one shape of campaign instead of
-// ping-ponging page working sets between differently tuned cells.
+// ping-ponging page working sets between differently tuned cells. The
+// executor passes only the tuning fields that reach the machine (RAM
+// size, console kind), so the fault domain no longer splits slots: the
+// domain cells of a sweep share one slot per worker, and with it the
+// slot's rewind point.
 //
 // Memory: idle slots are capped at kMaxIdlePerKey per key (releases
 // beyond the cap destroy the testbed instead of parking it), so a key's
@@ -93,9 +97,9 @@ class TestbedPool {
   /// caller owns the slot until the lease dies. The testbed is handed out
   /// as-is (possibly dirty); the per-run Testbed::reset() in the executor
   /// restores power-on state before every run, first run included.
-  /// `extra_key` extends the slot key (snapshot identity: the executor
-  /// passes scenario + tick policy when snapshots are on, so a parked
-  /// slot's held snapshot matches the next campaign that checks it out).
+  /// `extra_key` extends the slot key (the executor passes scenario +
+  /// tick policy when snapshots are on, so a parked slot's rewind point
+  /// is one the next campaign that checks it out may share).
   /// Empty (the default) keeps the classic (board, tuning) keying.
   [[nodiscard]] TestbedLease acquire(
       const std::string& board_name, const std::string& tuning_text,
@@ -109,8 +113,8 @@ class TestbedPool {
     std::size_t idle_slots = 0;  ///< slots currently parked in the pool
     // Per-run provisioning counters (recorded lock-free by the executor).
     std::uint64_t run_resets = 0;      ///< runs provisioned by full reset+boot
-    std::uint64_t run_restores = 0;    ///< runs provisioned by snapshot restore
-    std::uint64_t captures = 0;        ///< snapshots captured
+    std::uint64_t run_restores = 0;    ///< runs resumed from a rewind point
+    std::uint64_t captures = 0;        ///< snapshots captured (≤ 2 per learning run)
     std::uint64_t snapshot_bytes = 0;  ///< DRAM payload bytes, last capture
     std::uint64_t dirty_pages = 0;     ///< dirty DRAM pages, last capture
     // Guest-access fast-path activity summed over every executor run

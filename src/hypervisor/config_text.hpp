@@ -56,6 +56,10 @@ namespace mcs::jh {
 //   fault domain gic      # injection fault domain (fi::FaultDomain name)
 // ---------------------------------------------------------------------------
 
+/// Every field that reaches the machine (today `ram_size` and the console
+/// kind, via apply_cell_tuning) must be part of fi::CampaignExecutor's
+/// slot key: runs on one slot share booted state, and a field left out
+/// of the key would let a differently tuned campaign resume it.
 struct CellTuning {
   std::uint64_t ram_size = 0;  ///< 0 → keep the factory default
   bool has_console_kind = false;

@@ -176,6 +176,85 @@ TEST_F(CellLeaseTest, ExactlyOneConcurrentStealerWins) {
   EXPECT_EQ(winners.load(), 1);
 }
 
+TEST_F(CellLeaseTest, ConcurrentStealRaceHasOneWinnerEveryRound) {
+  // The race above, looped under contention: all stealers start at once,
+  // so some judge the dead lease stale only after a peer has already
+  // replaced it with its own fresh claim. Such a late stealer must back
+  // off; capturing the peer's lease instead gave two winners.
+  constexpr int kRounds = 200;
+  constexpr int kStealers = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string cell = "cell_" + std::to_string(round);
+    auto dead = CellLease::try_claim(dir(), cell, "dead-worker", 1s);
+    ASSERT_TRUE(dead.is_ok());
+    dead.value().abandon();
+    backdate(cell, 60s);
+
+    std::atomic<int> ready{0};
+    std::atomic<int> winners{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kStealers; ++i) {
+      threads.emplace_back([&, i] {
+        ++ready;
+        while (ready.load() < kStealers) std::this_thread::yield();
+        auto claim = CellLease::try_claim(dir(), cell, "s" + std::to_string(i), 1s);
+        if (claim.is_ok()) {
+          claim.value().abandon();
+          ++winners;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
+    const auto info = CellLease::read(dir(), cell);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->generation, 1u) << "round " << round;
+  }
+  // Nothing but the winners' leases is left behind.
+  for (const auto& entry : fs::directory_iterator(dir())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.compare(name.size() - 6, 6, ".lease"), 0) << name;
+  }
+}
+
+TEST_F(CellLeaseTest, StealLeavesGenerationOneAndNoSuccessorName) {
+  auto dead = CellLease::try_claim(dir(), "cell", "dead-worker", 1s);
+  ASSERT_TRUE(dead.is_ok());
+  dead.value().abandon();
+  EXPECT_EQ(CellLease::read(dir(), "cell")->generation, 0u);
+  backdate("cell", 60s);
+
+  auto steal = CellLease::try_claim(dir(), "cell", "thief", 1s);
+  ASSERT_TRUE(steal.is_ok());
+  EXPECT_TRUE(steal.value().stole());
+  EXPECT_EQ(CellLease::read(dir(), "cell")->generation, 1u);
+  EXPECT_FALSE(fs::exists(CellLease::lease_path(dir(), "cell") + ".1"));
+  // Heartbeats keep the generation.
+  EXPECT_TRUE(steal.value().heartbeat());
+  EXPECT_EQ(CellLease::read(dir(), "cell")->generation, 1u);
+}
+
+TEST_F(CellLeaseTest, CrashedStealersSuccessorNameIsClearedAfterTheTtl) {
+  // A stealer that died between creating the successor name and
+  // replacing the lease must not block the cell forever.
+  auto dead = CellLease::try_claim(dir(), "cell", "dead-worker", 1s);
+  ASSERT_TRUE(dead.is_ok());
+  dead.value().abandon();
+  backdate("cell", 60s);
+  const std::string successor = CellLease::lease_path(dir(), "cell") + ".1";
+  {
+    std::ofstream out(successor);
+    out << "worker crashed-stealer\npid 1\nheartbeat 0\ngeneration 1\n";
+  }
+  fs::last_write_time(successor, fs::last_write_time(successor) - 60s);
+
+  auto steal = CellLease::try_claim(dir(), "cell", "thief", 1s);
+  ASSERT_TRUE(steal.is_ok()) << steal.status().to_string();
+  EXPECT_TRUE(steal.value().stole());
+  EXPECT_EQ(CellLease::read(dir(), "cell")->worker_id, "thief");
+  EXPECT_FALSE(fs::exists(successor));
+}
+
 TEST_F(CellLeaseTest, HeartbeatRefreshesAgeAndCounter) {
   auto lease = CellLease::try_claim(dir(), "cell", "alpha", 60s);
   ASSERT_TRUE(lease.is_ok());

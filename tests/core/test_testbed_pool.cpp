@@ -168,6 +168,42 @@ TEST(TestbedPool, RestoredWindowPerformsZeroHeapAllocations) {
       << "a restored busy-tick window must not touch the heap";
 }
 
+// The rewind point's half: restoring a snapshot captured mid-window and
+// running the rest of the window (no injector attached) is allocation-
+// free once the slot has served one resumed window.
+TEST(TestbedPool, MidWindowRewindPointRestorePerformsZeroHeapAllocations) {
+  TestbedPool pool;
+  const TestbedLease lease = pool.acquire("bananapi", "", bananapi_entry());
+  Testbed* testbed = lease.get();
+  const Scenario* scenario = find_scenario("freertos-steady");
+  ASSERT_NE(scenario, nullptr);
+  const std::uint64_t window_ticks = scenario->make_plan().duration_ticks;
+
+  testbed->reset();
+  ASSERT_TRUE(scenario->setup(*testbed).is_ok());
+  scenario->boot(*testbed);
+  const util::Ticks close = testbed->board().now() + util::Ticks{window_ticks};
+  testbed->run(window_ticks * 4 / 5);
+  RunPoint point;
+  point.window_close = close.value;
+  testbed->capture_snapshot("mid-window-pin", point);
+  testbed->run_until(close);  // first resumed window: buffers reach steady size
+  ASSERT_TRUE(testbed->restore_snapshot());
+  testbed->run_until(close);
+
+  std::uint64_t allocations = 0;
+  {
+    const util::AllocationObserver::Window window;
+    ASSERT_TRUE(testbed->restore_snapshot());
+    testbed->run_until(util::Ticks{testbed->snapshot().point.window_close});
+    allocations = window.allocations();
+  }
+  EXPECT_EQ(testbed->board().now().value, close.value);
+  EXPECT_EQ(allocations, 0u)
+      << "restoring a mid-window rewind point and finishing the window "
+         "must not touch the heap";
+}
+
 // Executor-level reuse: across two pooled campaigns on the same key,
 // slot construction is bounded by the worker count — never by the run
 // or campaign count — and everything beyond those constructions is

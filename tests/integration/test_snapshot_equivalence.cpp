@@ -320,5 +320,154 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   std::filesystem::remove_all(dir);
 }
 
+// --- rewind points -----------------------------------------------------------
+//
+// A slot's snapshot is the plan's rewind point: the latest tick boundary
+// every run shares, up to the first injecting call. These plans put that
+// call mid-window, so restored runs resume deep inside the window and
+// then diverge by seed.
+
+/// On the CPU 1 trap stream (~480, 730, 1 480, 1 980 ticks after window
+/// open) call 4 injects, so the point sits after call 3.
+TestPlan rewind_plan(const std::string& scenario, const std::string& board) {
+  TestPlan plan = find_scenario(scenario)->make_plan();
+  plan.board = board;
+  plan.runs = 12;
+  plan.duration_ticks = 3'000;
+  plan.phase = 4;
+  return plan;
+}
+
+struct ProvisionDelta {
+  std::uint64_t resets = 0;
+  std::uint64_t restores = 0;
+  std::uint64_t captures = 0;
+  std::uint64_t creates = 0;
+};
+
+/// Pool counters moved by `body`, on an emptied pool.
+template <typename Body>
+ProvisionDelta provisioning_of(Body&& body) {
+  TestbedPool::instance().clear();
+  const TestbedPool::Stats before = TestbedPool::instance().stats();
+  body();
+  const TestbedPool::Stats after = TestbedPool::instance().stats();
+  return {after.run_resets - before.run_resets,
+          after.run_restores - before.run_restores,
+          after.captures - before.captures, after.creates - before.creates};
+}
+
+void expect_rewinds_identically(const TestPlan& plan, const std::string& label) {
+  const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
+  expect_identical(fresh, run_campaign(plan, Mode::Pooled, 1),
+                   label + ", reset per run");
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    expect_identical(fresh, run_campaign(plan, Mode::Snapshot, threads),
+                     label + ", rewind points, " + std::to_string(threads) +
+                         " threads");
+  }
+}
+
+TEST(SnapshotEquivalence, RewindPointsMatchFreshAndResetPerRunEverywhere) {
+  for (const std::string& scenario : ScenarioRegistry::instance().names()) {
+    if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
+    for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
+      expect_rewinds_identically(rewind_plan(scenario, board),
+                                 scenario + " on " + board);
+    }
+  }
+}
+
+TEST(SnapshotEquivalence, MidWindowRewindPointsAreExercised) {
+  // The identity above is vacuous if runs fall back to reset + boot or
+  // rewind only to window open: a flat window's learning run captures
+  // twice (window open, then after call 3), every other run restores,
+  // and the plan still reaches failure states after the point.
+  const TestPlan plan = rewind_plan("freertos-steady", "bananapi");
+  CampaignCapture warm;
+  const ProvisionDelta delta =
+      provisioning_of([&] { warm = run_campaign(plan, Mode::Snapshot, 1); });
+  EXPECT_EQ(delta.resets, 1u);
+  EXPECT_EQ(delta.captures, 2u);
+  EXPECT_EQ(delta.restores, plan.runs - 1);
+  const OutcomeDistribution dist = warm.result.distribution();
+  EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
+      << "plan produced no failures; move the first injection earlier";
+}
+
+TEST(SnapshotEquivalence, InjectDuringBootRewindsWhenTheFirstInjectionIsLate) {
+  // Boot-armed runs count two CPU 1 calls during boot; with call 4 the
+  // first to inject, boot is fault-free and the runs become eligible.
+  const TestPlan plan = rewind_plan("inject-during-boot", "bananapi");
+  ASSERT_TRUE(find_scenario(plan.scenario)->arm_during_boot(plan));
+  const ProvisionDelta delta =
+      provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+  EXPECT_EQ(delta.resets, 1u);
+  EXPECT_EQ(delta.restores, plan.runs - 1);
+  expect_rewinds_identically(plan, "inject-during-boot, call 4");
+}
+
+TEST(SnapshotEquivalence, WindowClosingBeforeTheFirstInjectionRewindsToTheClose) {
+  TestPlan plan = rewind_plan("freertos-steady", "bananapi");
+  plan.phase = 1'000;  // the window holds ~6 CPU 1 traps
+  CampaignCapture warm;
+  const ProvisionDelta delta =
+      provisioning_of([&] { warm = run_campaign(plan, Mode::Snapshot, 1); });
+  EXPECT_EQ(delta.captures, 2u);  // window open, then the close
+  EXPECT_EQ(delta.restores, plan.runs - 1);
+  for (const RunResult& run : warm.result.runs) EXPECT_EQ(run.injections, 0u);
+  expect_rewinds_identically(plan, "point at the close");
+}
+
+TEST(SnapshotEquivalence, PhaseOneHasNothingToStep) {
+  TestPlan plan = rewind_plan("freertos-steady", "bananapi");
+  plan.phase = 1;
+  const ProvisionDelta delta =
+      provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+  EXPECT_EQ(delta.captures, 1u);  // window open only
+  EXPECT_EQ(delta.restores, plan.runs - 1);
+  expect_rewinds_identically(plan, "phase 1");
+}
+
+TEST(SnapshotEquivalence, StructuredWindowsRewindToWindowOpen) {
+  // ivshmem traffic and the time-shared dual-cell swap act inside the
+  // window, so the executor never steps them: one capture per learning
+  // run, at window open.
+  for (const auto& [scenario, board] :
+       {std::pair<std::string, std::string>{"ivshmem-traffic", "quad-a7"},
+        std::pair<std::string, std::string>{"dual-cell", "bananapi"}}) {
+    const TestPlan plan = rewind_plan(scenario, board);
+    const ProvisionDelta delta =
+        provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+    EXPECT_EQ(delta.captures, 1u) << scenario;
+    EXPECT_EQ(delta.restores, plan.runs - 1) << scenario;
+    expect_rewinds_identically(plan, scenario + " on " + board);
+  }
+}
+
+TEST(SnapshotEquivalence, FiveFaultDomainsShareOneSlotAndOnePoint) {
+  // The sweep's domain axis rides the tuning text; the domain never
+  // reaches the machine, so all five cells share one slot and one
+  // learning run, and each still matches its own fresh campaign.
+  const std::vector<std::string> domains = {"register", "gic", "irq-delivery",
+                                            "device-mmio", "dram"};
+  std::vector<CampaignCapture> warm;
+  const ProvisionDelta delta = provisioning_of([&] {
+    for (const std::string& domain : domains) {
+      TestPlan plan = rewind_plan("freertos-steady", "bananapi");
+      plan.cell_tuning = "fault domain " + domain;
+      warm.push_back(run_campaign(plan, Mode::Snapshot, 1));
+    }
+  });
+  EXPECT_EQ(delta.creates, 1u);
+  EXPECT_EQ(delta.resets, 1u);
+  EXPECT_EQ(delta.restores, domains.size() * 12 - 1);
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    TestPlan plan = rewind_plan("freertos-steady", "bananapi");
+    plan.cell_tuning = "fault domain " + domains[i];
+    expect_identical(run_campaign(plan, Mode::Fresh, 1), warm[i], domains[i]);
+  }
+}
+
 }  // namespace
 }  // namespace mcs::fi
