@@ -9,6 +9,7 @@
 // [tuning] parameterises the workload cell in the config-text vocabulary,
 // ';'-separated, e.g. "ram 0x200000; console trapped".
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -45,8 +46,18 @@ int main(int argc, char** argv) {
 
   fi::TestPlan plan = made.value();
   plan.runs = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 40;
-  plan.rate = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3]))
-                       : fi::kMediumRate;
+  plan.rate = fi::kMediumRate;
+  if (argc > 3) {
+    // The injector injects on every rate-th call: 0 or a non-number is no
+    // cadence at all.
+    char* end = nullptr;
+    const unsigned long rate = std::strtoul(argv[3], &end, 10);
+    if (end == argv[3] || *end != '\0' || rate == 0 || rate > UINT32_MAX) {
+      std::cerr << "bad rate '" << argv[3] << "': must be an integer >= 1\n";
+      return 1;
+    }
+    plan.rate = static_cast<std::uint32_t>(rate);
+  }
   // strtoull base 0: accepts both decimal and the documented 0x... form.
   plan.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 0) : 0xC0FFEEULL;
   // Paper-faithful 1-minute tests (60'000 board ticks).

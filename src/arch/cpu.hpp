@@ -65,12 +65,29 @@ inline constexpr Word kPerCpuStride = 0x1000;
 /// Snapshot of the architectural registers at a hypervisor entry, plus the
 /// semantic bindings the entry path establishes (context pointer in r0,
 /// syndrome in r1, ...). This is the object the injector corrupts.
+///
+/// Handlers read registers only through reg(), the tracked read: when an
+/// injection changed the register (its bit in `injected`), the read is
+/// noted in `*injected_read`. A frame dies when its trap returns, so an
+/// injection none of whose changed registers was read left the machine
+/// exactly as the fault-free run would have — fi::Injector's *masked*
+/// verdict. The raw `bank` is for frame builders, fault models and tests.
+/// Builders leave `injected` empty: an uninjected read costs one test.
 struct EntryFrame {
   RegisterBank bank;   ///< r0-r12, sp, lr, pc *as loaded at handler entry*
   Syndrome hsr;        ///< hardware-captured syndrome (HSR read lands in r1)
   Cpsr guest_cpsr;     ///< SPSR_hyp: interrupted guest CPSR
   Word guest_pc = 0;   ///< ELR_hyp: return address into the guest
   int cpu = 0;
+  std::uint16_t injected = 0;     ///< bit i: an injection changed register i
+  bool* injected_read = nullptr;  ///< set by reg() on a read of such a register
+
+  [[nodiscard]] Word reg(Reg reg_id) const noexcept {
+    if (((injected >> static_cast<unsigned>(reg_id)) & 1u) != 0) {
+      *injected_read = true;
+    }
+    return bank[reg_id];
+  }
 };
 
 /// One core. Owns its register bank, HYP banked state and power FSM.

@@ -35,6 +35,16 @@ std::string machine_tuning_key(const jh::CellTuning& tuning) {
   return key;
 }
 
+/// The point's cached masked result, if one was computed with the same
+/// recovery-probe setting (the probe's answer is part of the result).
+const RunResult* cached_masked_result(const PointLearned& learned,
+                                      bool probe_recovery) {
+  return learned.masked_result.has_value() &&
+                 learned.masked_probe_recovery == probe_recovery
+             ? &*learned.masked_result
+             : nullptr;
+}
+
 }  // namespace
 
 CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
@@ -73,9 +83,9 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
 
 TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
   // Don't provision hardware for campaigns whose every run is a
-  // HarnessError anyway (unknown scenario/board, malformed tuning).
+  // HarnessError anyway (unknown scenario/board, malformed tuning, rate 0).
   if (!config_.reuse_testbeds || board_ == nullptr || scenario == nullptr ||
-      !tuning_status_.is_ok()) {
+      !tuning_status_.is_ok() || plan_.rate == 0) {
     return TestbedLease{};
   }
   // With snapshots on, slots are keyed by scenario and tick policy too,
@@ -91,6 +101,8 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   if (scenario == nullptr) {
     return harness_error("unknown scenario '" + plan_.scenario + "'");
   }
+
+  if (plan_.rate == 0) return harness_error("rate must be ≥ 1");
 
   if (!tuning_status_.is_ok()) {
     return harness_error("bad cell tuning: " + tuning_status_.to_string());
@@ -143,6 +155,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   Injector injector(plan_, run_seed, testbed->board().clock());
   RunMonitor monitor;
 
+  WindowEnd end = WindowEnd::Close;
   if (restored) {
     // Resume where the learning run stood: its window marks, its call
     // count, its window close. A structured window's point is always
@@ -152,7 +165,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     injector.set_filtered_calls(point.filtered_calls);
     injector.attach(testbed->hypervisor());
     if (scenario->flat_window(*testbed)) {
-      testbed->run_until(util::Ticks{point.window_close});
+      end = resume_flat_window(*testbed, injector);
     } else {
       scenario->observe(*testbed, plan_);
     }
@@ -175,21 +188,40 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
              : TestbedPool::instance().record_reset();
   }
 
-  // Observation epilogue: stop injecting, keep watching.
+  // Observation epilogue: stop injecting, keep watching. A masked run
+  // that injects nothing more before the close ends like the point's
+  // first masked run did, so it takes that run's classification.
   injector.set_armed(false);
-  scenario->epilogue(*testbed);
-
-  RunResult result = monitor.finish(*testbed);
+  const std::uint64_t calls_at_close = injector.filtered_calls();
+  const bool reuse = end == WindowEnd::MaskedReuse;
+  RunResult result;
+  if (reuse) {
+    result = *testbed->learned().masked_result;
+  } else {
+    scenario->epilogue(*testbed);
+    result = monitor.finish(*testbed);
+  }
   result.fault_domain = plan_.fault_domain;
   result.injections = injector.injections();
   result.first_injection_tick = injector.first_injection_tick();
+  result.flipped_bits = 0;
   for (const InjectionRecord& record : injector.records()) {
     result.flipped_bits += record.flips.size();
   }
 
-  if (config_.probe_recovery && result.outcome != Outcome::Correct &&
+  if (!reuse && config_.probe_recovery && result.outcome != Outcome::Correct &&
       result.outcome != Outcome::HarnessError) {
     result.shutdown_reclaimed = probe_shutdown_reclaims(*testbed);
+  }
+
+  // The point's first masked run to reach the close fills its cache.
+  PointLearned& learned = testbed->learned();
+  if (end == WindowEnd::Close && injector.masked() &&
+      testbed->has_snapshot(rewind_key_) &&
+      cached_masked_result(learned, config_.probe_recovery) == nullptr) {
+    learned.masked_result = result;
+    learned.masked_calls = calls_at_close;
+    learned.masked_probe_recovery = config_.probe_recovery;
   }
 
   injector.detach(testbed->hypervisor());
@@ -226,6 +258,32 @@ void CampaignExecutor::learn_window(const Scenario& scenario, Testbed& testbed,
   }
   if (stepped) capture();
   testbed.run_until(close);
+  // Where every later run from the point injects first: they run to this
+  // tick, then see whether their result is already decided.
+  if (testbed.has_snapshot(rewind_key_)) {
+    testbed.learned().first_injection_tick = injector.first_injection_tick();
+  }
+}
+
+CampaignExecutor::WindowEnd CampaignExecutor::resume_flat_window(
+    Testbed& testbed, const Injector& injector) const {
+  const PointLearned& learned = testbed.learned();
+  if (learned.first_injection_tick != 0) {
+    testbed.run_until(util::Ticks{learned.first_injection_tick});
+    if (injector.masked() &&
+        cached_masked_result(learned, config_.probe_recovery) != nullptr &&
+        plan_.first_injection_call() + plan_.rate > learned.masked_calls) {
+      TestbedPool::instance().record_masked_reuse();
+      return WindowEnd::MaskedReuse;
+    }
+    // Nothing executes on a panicked machine: see Machine::run_tick.
+    if (testbed.hypervisor().is_panicked()) {
+      TestbedPool::instance().record_panic_stop();
+      return WindowEnd::PanicStop;
+    }
+  }
+  testbed.run_until(util::Ticks{testbed.snapshot().point.window_close});
+  return WindowEnd::Close;
 }
 
 RunResult CampaignExecutor::execute_one(std::uint64_t run_seed) const {

@@ -24,6 +24,20 @@
 // Scenarios whose first injection falls during boot have no rewind point
 // and reset + boot per run. The board name and registry entry are
 // resolved once at construction, never in the per-run loop.
+//
+// Decided runs: the learning run also notes the tick of its first
+// injection with the point. A restored run of a flat window runs to that
+// tick first, where its result may already be decided. If its injection
+// is masked (fi::Injector: it changed only frame registers no handler
+// read) and its next injecting call lies beyond the close, it followed
+// the fault-free trajectory to the end: it takes the result of the
+// point's first masked run, kept with the snapshot, plus its own
+// injection fields. If its hypervisor panicked, it skips the rest of the
+// window, since nothing executes on a panicked machine (Machine::
+// run_tick). Either way the epilogue and classification see exactly what
+// the full window would have left. Capturing a point or resetting the
+// slot forgets all of it.
+//
 // ExecutorConfig::use_snapshots = false falls back to checkout/reset-per-
 // run; reuse_testbeds = false restores build-per-run (fresh
 // construction) — results are bit-identical in all three modes (the
@@ -127,9 +141,20 @@ class CampaignExecutor {
                                    Testbed* reused) const;
 
   /// The learning run's window on a pooled slot: capture the rewind
-  /// point(s) while running the window to its close.
+  /// point(s) while running the window to its close, then note the tick
+  /// of its first injection with the point.
   void learn_window(const Scenario& scenario, Testbed& testbed,
                     const RunMonitor& monitor, const Injector& injector) const;
+
+  /// How a restored flat window ended: at its close, decided masked
+  /// (the point's cached result applies), or on a panicked machine.
+  enum class WindowEnd { Close, MaskedReuse, PanicStop };
+
+  /// A restored flat window, split at the learned tick of the plan's
+  /// first injecting call: stop there when the run is decided, else run
+  /// to the close.
+  [[nodiscard]] WindowEnd resume_flat_window(Testbed& testbed,
+                                             const Injector& injector) const;
 
   /// A pool lease for this executor's slot key, or an empty lease when
   /// pooling is off or the campaign can only produce HarnessErrors

@@ -36,8 +36,17 @@ void Injector::on_entry(jh::HookPoint point, arch::EntryFrame& frame) {
   record.call_index = calls_;
   record.point = point;
   record.cpu = frame.cpu;
+  const arch::RegisterBank before = frame.bank;
   record.flips = target_->inject(rng_, frame, hv_);
   records_.push_back(std::move(record));
+  if (target_->domain() != FaultDomain::Register) {
+    effective_ = true;
+    return;
+  }
+  for (std::size_t i = 0; i < arch::kNumGeneralRegs; ++i) {
+    if (frame.bank.r[i] != before.r[i]) frame.injected |= 1u << i;
+  }
+  frame.injected_read = &effective_;
 }
 
 }  // namespace mcs::fi

@@ -5,6 +5,14 @@
 // applies the fault model to the live register frame and records what it
 // did. The hypervisor handler then consumes the corrupted frame — outcome
 // classes *emerge* from handler semantics, never from the injector.
+//
+// It also judges whether its injections could matter. A register-domain
+// injection marks the frame registers it changed (the model's own read of
+// the old value does not count); the handlers read frame registers only
+// through arch::EntryFrame::reg(), which reports a read of a marked one
+// back here. A run whose injections changed only registers nobody read is
+// *masked*: its machine followed the fault-free trajectory. Injections in
+// the other domains change live machine state and are never masked.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +81,12 @@ class Injector {
     return records_.empty() ? 0 : records_.front().tick;
   }
 
+  /// True when the run injected and no injection has taken effect yet:
+  /// every one changed only entry-frame registers that no handler read.
+  [[nodiscard]] bool masked() const noexcept {
+    return !records_.empty() && !effective_;
+  }
+
  private:
   TestPlan plan_;
   std::unique_ptr<InjectionTarget> target_;
@@ -83,6 +97,9 @@ class Injector {
   /// drive on_entry() bare; other domains then inject nothing).
   jh::Hypervisor* hv_ = nullptr;
   bool armed_ = true;
+  /// Some injection reached the machine: it changed live state, or a
+  /// handler read a frame register it changed (via EntryFrame::reg()).
+  bool effective_ = false;
   std::uint64_t calls_ = 0;
   std::vector<InjectionRecord> records_;
 };

@@ -30,6 +30,7 @@ void Testbed::reset() {
   // held snapshot is gone.
   run_arena_.reset();
   snapshot_valid_ = false;
+  snapshot_.learned = PointLearned{};
 }
 
 void Testbed::capture_snapshot(const std::string& key) {
@@ -52,6 +53,7 @@ void Testbed::capture_snapshot(const std::string& key, const RunPoint& point) {
   snapshot_.tuning = tuning_;
   snapshot_.ivshmem_stats = ivshmem_stats_;
   snapshot_.point = point;
+  snapshot_.learned = PointLearned{};
   snapshot_.arena_mark = run_arena_.mark();
   snapshot_.key = key;
   snapshot_.bytes = snapshot_.board.dram.bytes();

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/outcome.hpp"
 #include "guests/freertos_image.hpp"
 #include "guests/linux_root.hpp"
 #include "guests/osek_image.hpp"
@@ -71,6 +72,21 @@ struct RunPoint {
   std::uint64_t window_close = 0;    ///< absolute board tick
 };
 
+/// What runs from a rewind point learned after it was captured (see
+/// fi::CampaignExecutor): the tick of the plan's first injecting call,
+/// where every restored run's result may already be decided, and the
+/// result of the first run from the point whose injections were all
+/// masked — it followed the fault-free trajectory, so every later masked
+/// run that injects nothing more before the close ends the same way.
+struct PointLearned {
+  std::uint64_t first_injection_tick = 0;  ///< 0 = not known
+  /// That run's result (injection fields included: readers replace them),
+  /// its filtered-call count at the close and its probe setting.
+  std::optional<RunResult> masked_result;
+  std::uint64_t masked_calls = 0;
+  bool masked_probe_recovery = false;
+};
+
 /// Everything a run can mutate, captured at a tick boundary of a slot's
 /// learning run (see fi::CampaignExecutor) and bulk-copied back by
 /// Testbed::restore_snapshot() instead of a full reset() + re-boot +
@@ -95,6 +111,7 @@ struct TestbedSnapshot {
   IvshmemTrafficStats ivshmem_stats;
 
   RunPoint point;                  ///< the captured run's context
+  PointLearned learned;            ///< cleared by every capture
 
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
   std::string key;                 ///< identity (the executor's rewind key)
@@ -163,6 +180,11 @@ class Testbed {
   void restore(const TestbedSnapshot& snapshot);
 
   [[nodiscard]] const TestbedSnapshot& snapshot() const noexcept { return snapshot_; }
+
+  /// What later runs may learn about the held snapshot (the executor's
+  /// decided-run state). Every capture_snapshot() and reset() clears it;
+  /// restores keep it.
+  [[nodiscard]] PointLearned& learned() noexcept { return snapshot_.learned; }
   [[nodiscard]] std::size_t snapshot_bytes() const noexcept {
     return snapshot_valid_ ? snapshot_.bytes : 0;
   }

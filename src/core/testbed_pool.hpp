@@ -117,6 +117,9 @@ class TestbedPool {
     std::uint64_t captures = 0;        ///< snapshots captured (≤ 2 per learning run)
     std::uint64_t snapshot_bytes = 0;  ///< DRAM payload bytes, last capture
     std::uint64_t dirty_pages = 0;     ///< dirty DRAM pages, last capture
+    // Restored runs decided at their first injecting call.
+    std::uint64_t masked_reuses = 0;   ///< took the point's cached masked result
+    std::uint64_t panic_stops = 0;     ///< skipped a panicked machine's window
     // Guest-access fast-path activity summed over every executor run
     // (windowed per run via Testbed::access_counters deltas).
     std::uint64_t tlb_hits = 0;        ///< stage-2 TLB hits
@@ -129,6 +132,12 @@ class TestbedPool {
   // Lock-free per-run counters for the executor's steady path.
   void record_reset() noexcept { run_resets_.fetch_add(1, std::memory_order_relaxed); }
   void record_restore() noexcept { run_restores_.fetch_add(1, std::memory_order_relaxed); }
+  void record_masked_reuse() noexcept {
+    masked_reuses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void record_panic_stop() noexcept {
+    panic_stops_.fetch_add(1, std::memory_order_relaxed);
+  }
   void record_capture(std::uint64_t bytes, std::uint64_t dirty_pages) noexcept {
     captures_.fetch_add(1, std::memory_order_relaxed);
     snapshot_bytes_.store(bytes, std::memory_order_relaxed);
@@ -166,6 +175,8 @@ class TestbedPool {
   std::atomic<std::uint64_t> captures_{0};
   std::atomic<std::uint64_t> snapshot_bytes_{0};
   std::atomic<std::uint64_t> dirty_pages_{0};
+  std::atomic<std::uint64_t> masked_reuses_{0};
+  std::atomic<std::uint64_t> panic_stops_{0};
   std::atomic<std::uint64_t> tlb_hits_{0};
   std::atomic<std::uint64_t> tlb_misses_{0};
   std::atomic<std::uint64_t> dram_fast_ops_{0};

@@ -223,40 +223,43 @@ void Hypervisor::unhandled_trap(int cpu, std::uint8_t ec_bits,
 bool Hypervisor::check_entry_integrity(const arch::EntryFrame& frame) {
   const int cpu = frame.cpu;
   const arch::Cpu& core = board_->cpu(cpu);
-  const arch::RegisterBank& bank = frame.bank;
 
   // r12: per-CPU block pointer. Everything per-CPU hangs off it; a wild
   // value sends the first per-CPU access into unmapped HYP space.
-  if (bank[Reg::R12] != core.expected_percpu()) {
-    panic(cpu, "per-CPU pointer corrupted (r12=" + hex(bank[Reg::R12]) + ")");
+  const arch::Word percpu = frame.reg(Reg::R12);
+  if (percpu != core.expected_percpu()) {
+    panic(cpu, "per-CPU pointer corrupted (r12=" + hex(percpu) + ")");
     return false;
   }
   // r0: trap-context pointer. Out-of-window ⇒ wild dereference; skewed
   // within the stack window ⇒ the context restore loads a garbage CPSR and
   // the exception return is illegal. Both end in a hypervisor panic.
-  if (bank[Reg::R0] != core.expected_trap_context()) {
-    const bool in_window = bank[Reg::R0] >= core.hyp_stack_base() &&
-                           bank[Reg::R0] < core.hyp_stack_top();
+  const arch::Word context = frame.reg(Reg::R0);
+  if (context != core.expected_trap_context()) {
+    const bool in_window =
+        context >= core.hyp_stack_base() && context < core.hyp_stack_top();
     panic(cpu, in_window
                    ? "skewed trap-context restore, illegal exception return (r0=" +
-                         hex(bank[Reg::R0]) + ")"
-                   : "wild trap-context pointer dereference (r0=" +
-                         hex(bank[Reg::R0]) + ")");
+                         hex(context) + ")"
+                   : "wild trap-context pointer dereference (r0=" + hex(context) + ")");
     return false;
   }
   // sp: HYP stack. First push through a corrupted sp faults in HYP mode.
-  if (bank[Reg::SP] != core.expected_hyp_sp()) {
-    panic(cpu, "HYP stack pointer corrupted (sp=" + hex(bank[Reg::SP]) + ")");
+  const arch::Word sp = frame.reg(Reg::SP);
+  if (sp != core.expected_hyp_sp()) {
+    panic(cpu, "HYP stack pointer corrupted (sp=" + hex(sp) + ")");
     return false;
   }
   // lr: exception-return trampoline.
-  if (bank[Reg::LR] != arch::kReturnTrampoline) {
-    panic(cpu, "return trampoline corrupted (lr=" + hex(bank[Reg::LR]) + ")");
+  const arch::Word lr = frame.reg(Reg::LR);
+  if (lr != arch::kReturnTrampoline) {
+    panic(cpu, "return trampoline corrupted (lr=" + hex(lr) + ")");
     return false;
   }
   // pc: executing address of the handler itself.
-  if (bank[Reg::PC] != arch::kTrapHandlerPc) {
-    panic(cpu, "handler pc corrupted (pc=" + hex(bank[Reg::PC]) + ")");
+  const arch::Word pc = frame.reg(Reg::PC);
+  if (pc != arch::kTrapHandlerPc) {
+    panic(cpu, "handler pc corrupted (pc=" + hex(pc) + ")");
     return false;
   }
   return true;
@@ -289,7 +292,7 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
   // The handler reads the syndrome out of r1 (where the entry stub left
   // the HSR). A flip in the EC field manufactures an exception class the
   // dispatcher has no handler for.
-  const arch::Syndrome hsr{frame.bank[Reg::R1]};
+  const arch::Syndrome hsr{frame.reg(Reg::R1)};
   if (!arch::is_architected_class(hsr.ec_bits())) {
     unhandled_trap(cpu, hsr.ec_bits(), "unknown exception class");
     out.action = TrapAction::CpuParked;
@@ -316,8 +319,8 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
         return out;
       }
       ++cell->stage2_faults;
-      const std::uint32_t addr = frame.bank[Reg::R2];
-      const std::uint32_t value = frame.bank[Reg::R3];
+      const std::uint32_t addr = frame.reg(Reg::R2);
+      const std::uint32_t value = frame.reg(Reg::R3);
       std::uint32_t read_value = 0;
       if (!emulate_mmio(*cell, cpu, addr, value, hsr.data_abort_is_write(),
                         read_value)) {
@@ -358,14 +361,15 @@ TrapOutcome Hypervisor::arch_handle_trap(arch::EntryFrame& frame) {
 
   // Exception-return epilogue: an inner hook (arch_handle_hvc) may have
   // corrupted lr/pc after the entry check.
-  if (frame.bank[Reg::LR] != arch::kReturnTrampoline) {
-    panic(cpu, "return trampoline corrupted at exit (lr=" +
-                   hex(frame.bank[Reg::LR]) + ")");
+  const arch::Word exit_lr = frame.reg(Reg::LR);
+  if (exit_lr != arch::kReturnTrampoline) {
+    panic(cpu, "return trampoline corrupted at exit (lr=" + hex(exit_lr) + ")");
     out.action = TrapAction::Panicked;
     return out;
   }
-  if (frame.bank[Reg::PC] != arch::kTrapHandlerPc) {
-    panic(cpu, "handler pc corrupted at exit (pc=" + hex(frame.bank[Reg::PC]) + ")");
+  const arch::Word exit_pc = frame.reg(Reg::PC);
+  if (exit_pc != arch::kTrapHandlerPc) {
+    panic(cpu, "handler pc corrupted at exit (pc=" + hex(exit_pc) + ")");
     out.action = TrapAction::Panicked;
     return out;
   }
@@ -383,8 +387,8 @@ HvcResult Hypervisor::arch_handle_hvc(arch::EntryFrame& frame) {
 
   fire_hook(HookPoint::ArchHandleHvc, frame);
 
-  const std::uint32_t code = frame.bank[Reg::R2];
-  const std::uint32_t arg0 = frame.bank[Reg::R3];
+  const std::uint32_t code = frame.reg(Reg::R2);
+  const std::uint32_t arg0 = frame.reg(Reg::R3);
   Cell* cell = cell_on_cpu(cpu);
   if (cell != nullptr) ++cell->hypercalls;
 
@@ -639,14 +643,14 @@ void Hypervisor::cpu_bringup_entry(int cpu) {
 
   if (!check_entry_integrity(frame)) return;  // panicked
 
-  const arch::Syndrome hsr{frame.bank[Reg::R1]};
+  const arch::Syndrome hsr{frame.reg(Reg::R1)};
   if (!arch::is_architected_class(hsr.ec_bits())) {
     unhandled_trap(cpu, hsr.ec_bits(), "unknown class during CPU bring-up");
     return;
   }
 
-  const std::uint32_t entry = frame.bank[Reg::R2];
-  const std::uint32_t claimed_cell = frame.bank[Reg::R3];
+  const std::uint32_t entry = frame.reg(Reg::R2);
+  const std::uint32_t claimed_cell = frame.reg(Reg::R3);
   if (cell == nullptr || claimed_cell != cell->id()) {
     core.fail_boot("bring-up cell-id mismatch (claimed " + hex(claimed_cell) + ")");
     log(util::Severity::Error, cpu,
@@ -688,7 +692,7 @@ std::optional<IrqDelivery> Hypervisor::irqchip_handle_irq(int cpu) {
       make_frame(cpu, arch::Syndrome::make(arch::ExceptionClass::Unknown, 0));
   frame.bank.set(Reg::R0, acked);
   fire_hook(HookPoint::IrqchipHandleIrq, frame);
-  const std::uint32_t vector = frame.bank[Reg::R0];
+  const std::uint32_t vector = frame.reg(Reg::R0);
 
   // EOI uses the hardware-tracked active id, so even a corrupted vector
   // cannot wedge the GIC — part of why the paper calls this handler's

@@ -16,12 +16,16 @@
 // entry point in DESIGN.md §5 and enforced here:
 //   r0  trap-context pointer  → corruption ⇒ hypervisor panic (panic park)
 //   r1  syndrome (HSR)        → EC/ISV corruption ⇒ unhandled trap ⇒ cpu park
-//   r2  payload: hypercall code / fault address
-//   r3  payload: hypercall arg0 / MMIO write value
-//   r4  payload: hypercall arg1
+//   r2  payload: hypercall code / fault address / bring-up entry gate
+//   r3  payload: hypercall arg0 / MMIO write value / bring-up cell id
 //   r12 per-CPU block pointer → corruption ⇒ panic
 //   sp/lr/pc                  → corruption ⇒ panic
-//   r5-r11 dead at entry      → corruption ⇒ no effect
+//   r4-r11 never read         → corruption ⇒ no effect
+// Every read goes through arch::EntryFrame::reg(), so the injector sees
+// which corrupted registers a handler consumed. The read sets:
+// check_entry_integrity r0/r12/sp/lr/pc, dispatch r1, the data-abort,
+// hypercall and bring-up paths r2/r3, the exit check lr/pc, and
+// irqchip_handle_irq only r0 (the vector).
 #pragma once
 
 #include <array>

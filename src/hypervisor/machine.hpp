@@ -86,6 +86,14 @@ class Machine {
   }
 
   /// One board tick: devices, bring-up entries, IRQ routing, quanta.
+  ///
+  /// Panic invariant: after Hypervisor::panic() a tick runs only the
+  /// device ticks (and the watchdog, when one is installed; campaign runs
+  /// never install one). No device tick changes what RunMonitor::finish()
+  /// or probe_shutdown_reclaims() read — UART1 bytes, GPIO toggles,
+  /// hypervisor counters, root management results, log records, cell and
+  /// CPU states — so a panicked run's classification is fixed the moment
+  /// it panics, and the executor may skip the rest of its window.
   void run_tick();
 
   /// Advance machine time to the absolute tick `target` under the current

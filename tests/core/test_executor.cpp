@@ -142,6 +142,24 @@ TEST(CampaignExecutor, ZeroRunPlanYieldsEmptyResult) {
   EXPECT_EQ(result.distribution().total(), 0u);
 }
 
+TEST(CampaignExecutor, RateZeroIsAHarnessErrorWithoutProvisioning) {
+  // The injector's cadence divides by the rate; a zero rate must be
+  // refused per run, before any testbed is leased or built.
+  TestPlan plan = quick_plan(3);
+  plan.rate = 0;
+  const TestbedPool::Stats before = TestbedPool::instance().stats();
+  const CampaignResult result = CampaignExecutor(plan, {2, true}).execute();
+  const TestbedPool::Stats after = TestbedPool::instance().stats();
+  EXPECT_EQ(after.acquires, before.acquires);
+  ASSERT_EQ(result.runs.size(), 3u);
+  for (const RunResult& run : result.runs) {
+    EXPECT_EQ(run.outcome, Outcome::HarnessError);
+    EXPECT_EQ(run.detail, "rate must be ≥ 1");
+  }
+  const RunResult one = CampaignExecutor(plan, {1, true}).execute_one(7);
+  EXPECT_EQ(one.outcome, Outcome::HarnessError);
+}
+
 TEST(CampaignExecutor, ScenarioSelectionAffectsResults) {
   // inject-during-boot opens the management path to faults; with an early
   // phase the two scenarios must diverge somewhere over enough runs.

@@ -149,5 +149,96 @@ TEST_F(InjectorTest, AttachDetachHypervisorHook) {
   EXPECT_EQ(injector.injections(), 1u);  // no further injections
 }
 
+// --- the masked verdict -------------------------------------------------------
+//
+// A register-domain injection marks the frame registers it changed;
+// handlers read through EntryFrame::reg(), which reports a read of a
+// marked register. These drive the hook and the reads by hand.
+
+TEST_F(InjectorTest, ChangedRegisterAHandlerReadsIsNotMasked) {
+  plan_.rate = 1;
+  plan_.phase = 1;
+  plan_.fault_registers = {Reg::R0};
+  Injector injector(plan_, 5, clock_);
+  arch::EntryFrame frame = frame_on_cpu(0);
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
+  ASSERT_EQ(injector.injections(), 1u);
+  EXPECT_TRUE(injector.masked());  // nothing has read r0 yet
+  (void)frame.reg(Reg::R0);
+  EXPECT_FALSE(injector.masked());
+}
+
+TEST_F(InjectorTest, ChangedRegisterNobodyReadsIsMasked) {
+  plan_.rate = 1;
+  plan_.phase = 1;
+  plan_.fault_registers = {Reg::R7};
+  Injector injector(plan_, 5, clock_);
+  arch::EntryFrame frame = frame_on_cpu(0);
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
+  ASSERT_EQ(injector.injections(), 1u);
+  for (const Reg reg : {Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R12, Reg::SP,
+                        Reg::LR, Reg::PC}) {
+    (void)frame.reg(reg);
+  }
+  EXPECT_TRUE(injector.masked());
+}
+
+TEST_F(InjectorTest, StuckAtThatChangesNothingIsMasked) {
+  plan_.rate = 1;
+  plan_.phase = 1;
+  plan_.fault = FaultModelKind::StuckAtZero;
+  plan_.fault_registers = {Reg::R0};
+  Injector injector(plan_, 5, clock_);
+  arch::EntryFrame frame = frame_on_cpu(0);
+  frame.bank.set(Reg::R0, 0);  // already stuck
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
+  ASSERT_EQ(injector.injections(), 1u);
+  EXPECT_EQ(frame.injected, 0u);
+  (void)frame.reg(Reg::R0);  // the handler reads the value it would have read
+  EXPECT_TRUE(injector.masked());
+}
+
+TEST_F(InjectorTest, NonRegisterDomainsAreNeverMasked) {
+  platform::BananaPiBoard board;
+  jh::Hypervisor hv(board);
+  ASSERT_TRUE(hv.enable(jh::make_root_cell_config()).is_ok());
+  plan_.rate = 1;
+  plan_.phase = 1;
+  for (const auto domain : {FaultDomain::Gic, FaultDomain::IrqDelivery,
+                            FaultDomain::DeviceMmio, FaultDomain::Dram}) {
+    plan_.fault_domain = domain;
+    Injector injector(plan_, 5, board.clock());
+    injector.attach(hv);
+    (void)hv.guest_hypercall(
+        0, static_cast<std::uint32_t>(jh::Hypercall::HypervisorGetInfo));
+    injector.detach(hv);
+    ASSERT_EQ(injector.injections(), 1u) << fault_domain_name(domain);
+    EXPECT_FALSE(injector.masked()) << fault_domain_name(domain);
+  }
+}
+
+TEST_F(InjectorTest, TwoInjectionsWithOneReadAreNotMasked) {
+  plan_.rate = 1;
+  plan_.phase = 1;
+  plan_.fault_registers = {Reg::R1};
+  Injector injector(plan_, 5, clock_);
+  arch::EntryFrame unread = frame_on_cpu(0);
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, unread);
+  arch::EntryFrame read = frame_on_cpu(0);
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, read);
+  ASSERT_EQ(injector.injections(), 2u);
+  EXPECT_TRUE(injector.masked());
+  (void)read.reg(Reg::R1);
+  EXPECT_FALSE(injector.masked());
+}
+
+TEST_F(InjectorTest, NoInjectionIsNotMasked) {
+  Injector injector(plan_, 5, clock_);
+  arch::EntryFrame frame = frame_on_cpu(0);
+  injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
+  EXPECT_EQ(injector.injections(), 0u);
+  EXPECT_FALSE(injector.masked());
+}
+
 }  // namespace
 }  // namespace mcs::fi

@@ -136,7 +136,10 @@ TEST(SnapshotEquivalence, SteadyScenariosActuallyRestore) {
   // The identity above is vacuous if every run silently falls back to
   // reset + boot: require the pool to report restores, and more restores
   // than full resets for a steady single-slot campaign (boot once,
-  // restore plan.runs - 1 times).
+  // restore plan.runs - 1 times). An emptied pool makes the capture this
+  // campaign's own: an earlier test in the same process may have parked
+  // a slot that already holds this plan's rewind point.
+  TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
   plan.runs = 6;

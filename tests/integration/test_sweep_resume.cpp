@@ -233,6 +233,46 @@ TEST(SweepResume, TornMetaSidecarReExecutesInsteadOfBlockingResume) {
   std::filesystem::remove_all(dir);
 }
 
+// The logdir is crash-consistent, not power-loss durable: logs, meta
+// sidecars and leases commit by temp file + rename, and nothing calls
+// fsync. After a power loss a renamed file may therefore come back
+// empty. Either empty file must re-execute its cell, never resume it.
+void expect_empty_file_reexecutes(const std::string& dir_name,
+                                  bool empty_meta) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / dir_name;
+  std::filesystem::remove_all(dir);
+
+  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+  ASSERT_TRUE(fresh.is_ok());
+  const std::string fresh_report = report_of(fresh.value());
+
+  const std::string log =
+      fi::SweepDriver::cell_log_path(dir.string(), "freertos-steady_r50");
+  const std::string meta = fi::cell_meta_path(log);
+  ASSERT_TRUE(std::filesystem::exists(meta));
+  std::filesystem::resize_file(empty_meta ? meta : log, 0);
+
+  auto resumed =
+      fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+  ASSERT_TRUE(resumed.is_ok());
+  EXPECT_EQ(resumed.value().executed, 1u);
+  EXPECT_EQ(resumed.value().resumed, 3u);
+  EXPECT_EQ(report_of(resumed.value()), fresh_report);
+  EXPECT_GT(std::filesystem::file_size(log), 0u);
+  EXPECT_GT(std::filesystem::file_size(meta), 0u);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepResume, ZeroLengthRunLogWithIntactMetaReExecutes) {
+  expect_empty_file_reexecutes("mcs_sweep_empty_log", /*empty_meta=*/false);
+}
+
+TEST(SweepResume, ZeroLengthMetaSidecarReExecutes) {
+  expect_empty_file_reexecutes("mcs_sweep_empty_meta", /*empty_meta=*/true);
+}
+
 TEST(SweepResume, ParallelResumeIsByteIdenticalToSerialResume) {
   // The parallel resume pre-scan is a pure read; only its *scan* runs on
   // a thread pool, the fold stays serial in grid order. So resuming the
