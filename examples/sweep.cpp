@@ -178,9 +178,10 @@ void print_pool_stats(std::ostream& err) {
       << " reused; runs: " << pool.run_restores << " restored, "
       << pool.run_resets << " reset; " << pool.captures
       << " snapshots captured (" << pool.snapshot_bytes << " B, "
-      << pool.dirty_pages << " dirty pages); decided early: "
-      << pool.masked_reuses << " masked reuses, " << pool.panic_stops
-      << " panic stops\n";
+      << pool.dirty_pages << " dirty pages), " << pool.ladder_captures
+      << " ladder rungs; decided early: " << pool.golden_results
+      << " golden results, " << pool.ladder_restores << " ladder restores, "
+      << pool.panic_stops << " panic stops\n";
 }
 
 /// The log-pipeline epilogue: what the write path rendered, what the

@@ -89,7 +89,8 @@ EntryFrame Cpu::make_trap_frame(Syndrome hsr) const {
   frame.hsr = hsr;
   frame.guest_cpsr = cpsr_;
   frame.guest_pc = regs_.get(Reg::PC);
-  frame.bank = regs_;
+  FrameWriter stub = frame.writer();
+  stub.bank() = regs_;
   // The entry stub materialises the handler's working set: r0 holds the
   // pointer to the on-stack trap context, r1 the HSR value just read,
   // r2-r4 the trap payload (hypercall code/args, or fault address/value —
@@ -98,12 +99,12 @@ EntryFrame Cpu::make_trap_frame(Syndrome hsr) const {
   // guest return address lives in ELR_hyp (a banked system register), so
   // it is *not* exposed to general-purpose-register bit flips — which is
   // architecturally accurate for HYP-mode entries.
-  frame.bank.set(Reg::R0, expected_trap_context());
-  frame.bank.set(Reg::R1, hsr.raw());
-  frame.bank.set(Reg::R12, expected_percpu());
-  frame.bank.set(Reg::SP, expected_hyp_sp());
-  frame.bank.set(Reg::LR, kReturnTrampoline);
-  frame.bank.set(Reg::PC, kTrapHandlerPc);
+  stub.set(Reg::R0, expected_trap_context());
+  stub.set(Reg::R1, hsr.raw());
+  stub.set(Reg::R12, expected_percpu());
+  stub.set(Reg::SP, expected_hyp_sp());
+  stub.set(Reg::LR, kReturnTrampoline);
+  stub.set(Reg::PC, kTrapHandlerPc);
   return frame;
 }
 

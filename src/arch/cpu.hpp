@@ -62,6 +62,8 @@ inline constexpr Word kPerCpuStride = 0x1000;
   return kPerCpuBase + static_cast<Word>(cpu) * kPerCpuStride;
 }
 
+class FrameWriter;
+
 /// Snapshot of the architectural registers at a hypervisor entry, plus the
 /// semantic bindings the entry path establishes (context pointer in r0,
 /// syndrome in r1, ...). This is the object the injector corrupts.
@@ -71,10 +73,11 @@ inline constexpr Word kPerCpuStride = 0x1000;
 /// noted in `*injected_read`. A frame dies when its trap returns, so an
 /// injection none of whose changed registers was read left the machine
 /// exactly as the fault-free run would have — fi::Injector's *masked*
-/// verdict. The raw `bank` is for frame builders, fault models and tests.
-/// Builders leave `injected` empty: an uninjected read costs one test.
+/// verdict. The bank itself is private: frame builders, fault models, the
+/// injector's before/after diff and tests go through a FrameWriter, so no
+/// handler read can bypass the tracking. Builders leave `injected` empty:
+/// an uninjected read costs one test.
 struct EntryFrame {
-  RegisterBank bank;   ///< r0-r12, sp, lr, pc *as loaded at handler entry*
   Syndrome hsr;        ///< hardware-captured syndrome (HSR read lands in r1)
   Cpsr guest_cpsr;     ///< SPSR_hyp: interrupted guest CPSR
   Word guest_pc = 0;   ///< ELR_hyp: return address into the guest
@@ -86,9 +89,35 @@ struct EntryFrame {
     if (((injected >> static_cast<unsigned>(reg_id)) & 1u) != 0) {
       *injected_read = true;
     }
-    return bank[reg_id];
+    return bank_[reg_id];
   }
+
+  /// Untracked access to the bank (never for handlers).
+  [[nodiscard]] FrameWriter writer() noexcept;
+
+ private:
+  friend class FrameWriter;
+  RegisterBank bank_;  ///< r0-r12, sp, lr, pc *as loaded at handler entry*
 };
+
+/// The narrow untracked view of an entry frame's registers: what the
+/// entry stub loads, what a fault model corrupts, what the injector
+/// diffs, what a test sets up or asserts. Reads through it are not
+/// reported to the injector, so handlers must not take one.
+class FrameWriter {
+ public:
+  explicit FrameWriter(EntryFrame& frame) noexcept : bank_(&frame.bank_) {}
+
+  void set(Reg reg_id, Word value) noexcept { bank_->set(reg_id, value); }
+  [[nodiscard]] Word get(Reg reg_id) const noexcept { return bank_->get(reg_id); }
+  /// The whole bank: fault models mutate it, the injector copies it.
+  [[nodiscard]] RegisterBank& bank() const noexcept { return *bank_; }
+
+ private:
+  RegisterBank* bank_;
+};
+
+inline FrameWriter EntryFrame::writer() noexcept { return FrameWriter(*this); }
 
 /// One core. Owns its register bank, HYP banked state and power FSM.
 class Cpu {

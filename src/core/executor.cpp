@@ -35,16 +35,6 @@ std::string machine_tuning_key(const jh::CellTuning& tuning) {
   return key;
 }
 
-/// The point's cached masked result, if one was computed with the same
-/// recovery-probe setting (the probe's answer is part of the result).
-const RunResult* cached_masked_result(const PointLearned& learned,
-                                      bool probe_recovery) {
-  return learned.masked_result.has_value() &&
-                 learned.masked_probe_recovery == probe_recovery
-             ? &*learned.masked_result
-             : nullptr;
-}
-
 }  // namespace
 
 CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
@@ -178,7 +168,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     monitor.begin(*testbed);
     if (!arm_during_boot) injector.attach(testbed->hypervisor());
     if (rewindable) {
-      learn_window(*scenario, *testbed, monitor, injector);
+      end = learn_window(*scenario, *testbed, monitor, injector);
     } else {
       scenario->observe(*testbed, plan_);
     }
@@ -188,15 +178,14 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
              : TestbedPool::instance().record_reset();
   }
 
-  // Observation epilogue: stop injecting, keep watching. A masked run
-  // that injects nothing more before the close ends like the point's
-  // first masked run did, so it takes that run's classification.
+  // Observation epilogue: stop injecting, keep watching. A run decided on
+  // the golden trajectory ends like the golden suffix did, epilogue and
+  // probe included, so it takes that result.
   injector.set_armed(false);
-  const std::uint64_t calls_at_close = injector.filtered_calls();
-  const bool reuse = end == WindowEnd::MaskedReuse;
+  const bool golden = end == WindowEnd::GoldenResult;
   RunResult result;
-  if (reuse) {
-    result = *testbed->learned().masked_result;
+  if (golden) {
+    result = testbed->golden_suffix().result;
   } else {
     scenario->epilogue(*testbed);
     result = monitor.finish(*testbed);
@@ -209,19 +198,8 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     result.flipped_bits += record.flips.size();
   }
 
-  if (!reuse && config_.probe_recovery && result.outcome != Outcome::Correct &&
-      result.outcome != Outcome::HarnessError) {
+  if (!golden && probes(result)) {
     result.shutdown_reclaimed = probe_shutdown_reclaims(*testbed);
-  }
-
-  // The point's first masked run to reach the close fills its cache.
-  PointLearned& learned = testbed->learned();
-  if (end == WindowEnd::Close && injector.masked() &&
-      testbed->has_snapshot(rewind_key_) &&
-      cached_masked_result(learned, config_.probe_recovery) == nullptr) {
-    learned.masked_result = result;
-    learned.masked_calls = calls_at_close;
-    learned.masked_probe_recovery = config_.probe_recovery;
   }
 
   injector.detach(testbed->hypervisor());
@@ -229,9 +207,9 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   return result;
 }
 
-void CampaignExecutor::learn_window(const Scenario& scenario, Testbed& testbed,
-                                    const RunMonitor& monitor,
-                                    const Injector& injector) const {
+CampaignExecutor::WindowEnd CampaignExecutor::learn_window(
+    const Scenario& scenario, Testbed& testbed, const RunMonitor& monitor,
+    Injector& injector) const {
   const util::Ticks close =
       testbed.board().now() + util::Ticks{plan_.duration_ticks};
   // A point is shared only while nothing has been injected.
@@ -245,7 +223,7 @@ void CampaignExecutor::learn_window(const Scenario& scenario, Testbed& testbed,
   capture();  // window open
   if (!scenario.flat_window(testbed)) {
     scenario.observe(testbed, plan_);
-    return;
+    return WindowEnd::Close;
   }
   // Step to the last tick boundary before the first injecting call: the
   // injector has then counted every call before it.
@@ -257,33 +235,99 @@ void CampaignExecutor::learn_window(const Scenario& scenario, Testbed& testbed,
     stepped = true;
   }
   if (stepped) capture();
-  testbed.run_until(close);
-  // Where every later run from the point injects first: they run to this
-  // tick, then see whether their result is already decided.
-  if (testbed.has_snapshot(rewind_key_)) {
-    testbed.learned().first_injection_tick = injector.first_injection_tick();
+  // The learning run stands on the point while it has injected nothing;
+  // a point at the close holds no injecting call and needs no suffix.
+  if (injector.injections() == 0 && testbed.has_snapshot(rewind_key_) &&
+      testbed.board().now() < close) {
+    run_golden_suffix(scenario, testbed, monitor);
+    injector.attach(testbed.hypervisor());  // the restore cleared the hook
+    return resume_flat_window(testbed, injector);
   }
+  testbed.run_until(close);
+  return WindowEnd::Close;
+}
+
+void CampaignExecutor::run_golden_suffix(const Scenario& scenario, Testbed& testbed,
+                                         const RunMonitor& monitor) const {
+  GoldenSuffix& golden = testbed.golden_suffix();
+  const RunPoint point = testbed.snapshot().point;
+  const util::Ticks close{point.window_close};
+  Injector counter(plan_, 0, testbed.board().clock());
+  counter.set_filtered_calls(point.filtered_calls);
+  counter.set_golden(&golden.touches);
+  counter.attach(testbed.hypervisor());
+  testbed.track_touches(&golden.touches);
+  // A rung at the tick boundary before each later injecting call, where
+  // every call before it has been counted. Two calls in one tick leave no
+  // such boundary, and the ladder ends there.
+  for (std::uint64_t next = plan_.first_injection_call() + plan_.rate;
+       testbed.rungs() < kLadderRungs; next += plan_.rate) {
+    while (counter.filtered_calls() + 1 < next && testbed.board().now() < close) {
+      testbed.run(1);
+    }
+    if (testbed.board().now() >= close || counter.filtered_calls() + 1 != next ||
+        !testbed.capture_rung(
+            RunPoint{point.marks, counter.filtered_calls(), point.window_close})) {
+      break;
+    }
+    TestbedPool::instance().record_ladder_capture();
+  }
+  testbed.run_until(close);
+  counter.set_armed(false);
+  scenario.epilogue(testbed);
+  golden.result = monitor.finish(testbed);
+  if (probes(golden.result)) {
+    golden.result.shutdown_reclaimed = probe_shutdown_reclaims(testbed);
+  }
+  testbed.track_touches(nullptr);
+  counter.detach(testbed.hypervisor());
+  golden.injecting_ticks = counter.golden_ticks();
+  golden.rate = plan_.rate;
+  golden.probe_recovery = config_.probe_recovery;
+  golden.valid = true;
+  testbed.restore_snapshot();
 }
 
 CampaignExecutor::WindowEnd CampaignExecutor::resume_flat_window(
-    Testbed& testbed, const Injector& injector) const {
-  const PointLearned& learned = testbed.learned();
-  if (learned.first_injection_tick != 0) {
-    testbed.run_until(util::Ticks{learned.first_injection_tick});
-    if (injector.masked() &&
-        cached_masked_result(learned, config_.probe_recovery) != nullptr &&
-        plan_.first_injection_call() + plan_.rate > learned.masked_calls) {
-      TestbedPool::instance().record_masked_reuse();
-      return WindowEnd::MaskedReuse;
-    }
+    Testbed& testbed, Injector& injector) const {
+  const GoldenSuffix& golden = testbed.golden_suffix();
+  // Plans sharing the point may differ in rate and probe setting, which
+  // the suffix's ladder, touch log and result depend on. The first
+  // injecting tick, and with it the panic stop, is the same for all.
+  const bool decidable = golden.valid && golden.rate == plan_.rate &&
+                         golden.probe_recovery == config_.probe_recovery;
+  for (std::size_t j = 0; j < golden.injecting_ticks.size(); ++j) {
+    testbed.run_until(util::Ticks{golden.injecting_ticks[j]});
     // Nothing executes on a panicked machine: see Machine::run_tick.
     if (testbed.hypervisor().is_panicked()) {
       TestbedPool::instance().record_panic_stop();
       return WindowEnd::PanicStop;
     }
+    // A live injection: the run leaves the golden trajectory here.
+    if (!decidable || !injector.dead(golden.touches)) break;
+    if (j + 1 == golden.injecting_ticks.size()) {
+      TestbedPool::instance().record_golden_result();
+      return WindowEnd::GoldenResult;
+    }
+    if (j == testbed.rungs()) break;  // past the ladder: go on live from here
+    // Jump to the rung before the next injecting call: the golden state
+    // there plus this run's dead changes, which the golden run never
+    // touched since.
+    testbed.restore_rung(j);
+    for (const InjectionRecord& record : injector.records()) {
+      for (const FaultRecord& flip : record.flips) write_back(flip, testbed.hypervisor());
+    }
+    injector.set_filtered_calls(testbed.rung_point(j).filtered_calls);
+    injector.attach(testbed.hypervisor());  // the restore cleared the hook
+    TestbedPool::instance().record_ladder_restore();
   }
   testbed.run_until(util::Ticks{testbed.snapshot().point.window_close});
   return WindowEnd::Close;
+}
+
+bool CampaignExecutor::probes(const RunResult& result) const {
+  return config_.probe_recovery && result.outcome != Outcome::Correct &&
+         result.outcome != Outcome::HarnessError;
 }
 
 RunResult CampaignExecutor::execute_one(std::uint64_t run_seed) const {

@@ -25,18 +25,31 @@
 // and reset + boot per run. The board name and registry entry are
 // resolved once at construction, never in the per-run loop.
 //
-// Decided runs: the learning run also notes the tick of its first
-// injection with the point. A restored run of a flat window runs to that
-// tick first, where its result may already be decided. If its injection
-// is masked (fi::Injector: it changed only frame registers no handler
-// read) and its next injecting call lies beyond the close, it followed
-// the fault-free trajectory to the end: it takes the result of the
-// point's first masked run, kept with the snapshot, plus its own
-// injection fields. If its hypervisor panicked, it skips the rest of the
-// window, since nothing executes on a panicked machine (Machine::
-// run_tick). Either way the epilogue and classification see exactly what
-// the full window would have left. Capturing a point or resetting the
-// slot forgets all of it.
+// Golden suffix: right after a flat window's learning run captures its
+// point, it runs the rest of the window once more with a counting,
+// never-injecting injector (Injector::set_golden) and keeps three things
+// with the point: the fault-free RunResult (epilogue, finish() and probe
+// included), a ladder of up to kLadderRungs snapshots, one at the tick
+// boundary before each later injecting call in the window, and a touch
+// log (util::TouchLog) of the last injecting-call interval in which the
+// golden run read or wrote each DRAM page and each GIC line's enable,
+// priority and target. Then it restores the point and serves its own run
+// like any restored run. A point whose window holds no injecting call, or
+// that the learning run has already injected past, gets no suffix.
+//
+// Decided runs: a restored run of a flat window runs to the tick of each
+// injecting call the golden run saw. There, if its hypervisor panicked,
+// it skips the rest of the window, since nothing executes on a panicked
+// machine (Machine::run_tick). If every injection so far is dead
+// (Injector::dead: a register flip no handler read, a no-op, or DRAM/GIC
+// changes the golden run never touches from that call on) it is still on
+// the golden trajectory: with no injecting call left in the window it
+// takes the golden result plus its own injection fields; otherwise it
+// restores the next rung, writes its dead changes back (fi::write_back)
+// and goes on. A live injection, or a run past the last rung, runs to the
+// close. Either way the epilogue and classification see exactly what the
+// full window would have left. Capturing a point or resetting the slot
+// forgets the golden suffix and its ladder.
 //
 // ExecutorConfig::use_snapshots = false falls back to checkout/reset-per-
 // run; reuse_testbeds = false restores build-per-run (fresh
@@ -140,21 +153,30 @@ class CampaignExecutor {
                                    std::uint64_t run_seed,
                                    Testbed* reused) const;
 
+  /// How a window ended: at its close, on the golden trajectory (the
+  /// golden suffix's result applies), or on a panicked machine.
+  enum class WindowEnd { Close, GoldenResult, PanicStop };
+
   /// The learning run's window on a pooled slot: capture the rewind
-  /// point(s) while running the window to its close, then note the tick
-  /// of its first injection with the point.
-  void learn_window(const Scenario& scenario, Testbed& testbed,
-                    const RunMonitor& monitor, const Injector& injector) const;
+  /// point(s), run the point's golden suffix when it has one, then serve
+  /// the run from the point like a restored run (else run to the close).
+  [[nodiscard]] WindowEnd learn_window(const Scenario& scenario, Testbed& testbed,
+                                       const RunMonitor& monitor,
+                                       Injector& injector) const;
 
-  /// How a restored flat window ended: at its close, decided masked
-  /// (the point's cached result applies), or on a panicked machine.
-  enum class WindowEnd { Close, MaskedReuse, PanicStop };
+  /// Run the rest of the window fault-free from the held point, keeping
+  /// its result, ladder and touch log with it; ends restored to the point.
+  void run_golden_suffix(const Scenario& scenario, Testbed& testbed,
+                         const RunMonitor& monitor) const;
 
-  /// A restored flat window, split at the learned tick of the plan's
-  /// first injecting call: stop there when the run is decided, else run
-  /// to the close.
+  /// A flat window resumed at the point, split at the golden run's
+  /// injecting ticks: stop when the run is decided, climb the ladder while
+  /// its injections stay dead, else run to the close.
   [[nodiscard]] WindowEnd resume_flat_window(Testbed& testbed,
-                                             const Injector& injector) const;
+                                             Injector& injector) const;
+
+  /// Whether the recovery probe follows a run that ended with `result`.
+  [[nodiscard]] bool probes(const RunResult& result) const;
 
   /// A pool lease for this executor's slot key, or an empty lease when
   /// pooling is off or the campaign can only produce HarnessErrors

@@ -39,6 +39,22 @@ inline constexpr std::size_t kNumFaultDomains = 5;
 [[nodiscard]] bool fault_domain_from_name(std::string_view name,
                                           FaultDomain& out) noexcept;
 
+/// The locations a FaultRecord changed, as bits of FaultRecord::changed:
+/// what the golden-suffix dead-location rule checks (fi::Injector::dead).
+/// A no-op — squashing a line that is not pending, setting one that is,
+/// retargeting to the same CPU, flipping a bit the device masks — names
+/// none.
+enum FaultChange : std::uint8_t {
+  kChangedNothing = 0,
+  kChangedRegister = 1u << 0,     ///< entry-frame register `reg`
+  kChangedDramPage = 1u << 1,     ///< the DRAM page holding `addr`
+  kChangedGicEnable = 1u << 2,    ///< line `addr`'s enable bit
+  kChangedGicPriority = 1u << 3,  ///< line `addr`'s priority
+  kChangedGicTarget = 1u << 4,    ///< SPI `addr`'s target CPU
+  kChangedPending = 1u << 5,      ///< a pending bit: always live
+  kChangedDevice = 1u << 6,       ///< a device register: always live
+};
+
 /// One recorded mutation, tagged with the domain it landed in. The `addr`
 /// field is domain-dependent: the physical address for Dram/DeviceMmio
 /// faults, the IRQ line id for Gic/IrqDelivery faults, unused (0) for
@@ -50,6 +66,7 @@ struct FaultRecord {
   std::uint64_t addr = 0;
   std::uint64_t before = 0;
   std::uint64_t after = 0;
+  std::uint8_t changed = kChangedNothing;  ///< FaultChange bits
 };
 
 /// Historical name for the register-only record; the struct is shared now.

@@ -20,7 +20,9 @@ FaultRecord inject_dram_fault(util::Xoshiro256& rng,
   const auto before = memory.read_u8(record.addr);
   record.before = before.is_ok() ? before.value() : 0;
   record.after = util::flip_bit(record.before, record.bit);
-  (void)memory.write_u8(record.addr, static_cast<std::uint8_t>(record.after));
+  if (memory.write_u8(record.addr, static_cast<std::uint8_t>(record.after)).is_ok()) {
+    record.changed = kChangedDramPage;
+  }
   return record;
 }
 
@@ -40,7 +42,12 @@ class RegisterTarget final : public InjectionTarget {
   std::vector<FaultRecord> inject(util::Xoshiro256& rng,
                                   arch::EntryFrame& frame,
                                   jh::Hypervisor* /*hv*/) const override {
-    return model_->apply(rng, frame.bank);
+    std::vector<FaultRecord> records = model_->apply(rng, frame.writer().bank());
+    for (FaultRecord& record : records) {
+      // A stuck-at on a register already stuck changes nothing.
+      if (record.after != record.before) record.changed = kChangedRegister;
+    }
+    return records;
   }
 
  private:
@@ -69,12 +76,16 @@ class GicTarget final : public InjectionTarget {
         const auto irq = static_cast<irq::IrqId>(rng.below(irq::kNumIrqs));
         record.addr = irq;
         record.before = gic.is_enabled(irq) ? 1 : 0;
+        const std::uint8_t priority = gic.priority(irq);
         if (record.before != 0) {
           (void)gic.disable(irq);
         } else {
           (void)gic.enable(irq);
         }
         record.after = record.before ^ 1u;
+        record.changed = kChangedGicEnable;
+        // Enabling a line at the idle priority also gives it the default.
+        if (gic.priority(irq) != priority) record.changed |= kChangedGicPriority;
         break;
       }
       case 1: {  // priority bit flip (GICD_IPRIORITYR corruption)
@@ -84,6 +95,7 @@ class GicTarget final : public InjectionTarget {
         record.before = gic.priority(irq);
         record.after = util::flip_bit(record.before, record.bit);
         (void)gic.set_priority(irq, static_cast<std::uint8_t>(record.after));
+        record.changed = kChangedGicPriority;
         break;
       }
       case 2: {  // SPI retarget (GICD_ITARGETSR corruption)
@@ -94,6 +106,7 @@ class GicTarget final : public InjectionTarget {
         record.before = static_cast<std::uint64_t>(gic.target(irq));
         (void)gic.set_target(irq, cpu);
         record.after = static_cast<std::uint64_t>(cpu);
+        if (record.after != record.before) record.changed = kChangedGicTarget;
         break;
       }
       default: {  // pending-bit set (GICD_ISPENDR corruption)
@@ -103,6 +116,7 @@ class GicTarget final : public InjectionTarget {
         record.before = gic.is_pending(irq, cpu) ? 1 : 0;
         gic.force_pending(cpu, irq);
         record.after = 1;
+        if (record.before == 0) record.changed = kChangedPending;
         break;
       }
     }
@@ -135,6 +149,7 @@ class IrqDeliveryTarget final : public InjectionTarget {
         record.before = gic.is_pending(irq, cpu) ? 1 : 0;
         gic.squash_pending(cpu, irq);
         record.after = 0;
+        if (record.before != 0) record.changed = kChangedPending;
         break;
       }
       case 1: {  // spurious SPI at a random CPU
@@ -145,6 +160,7 @@ class IrqDeliveryTarget final : public InjectionTarget {
         record.before = gic.is_pending(irq, cpu) ? 1 : 0;
         gic.force_pending(cpu, irq);
         record.after = 1;
+        if (record.before == 0) record.changed = kChangedPending;
         break;
       }
       default: {  // spurious ivshmem doorbell SGI
@@ -153,6 +169,7 @@ class IrqDeliveryTarget final : public InjectionTarget {
         record.before = gic.is_pending(jh::kIvshmemDoorbellSgi, cpu) ? 1 : 0;
         gic.force_pending(cpu, jh::kIvshmemDoorbellSgi);
         record.after = 1;
+        if (record.before == 0) record.changed = kChangedPending;
         break;
       }
     }
@@ -208,6 +225,7 @@ class DeviceMmioTarget final : public InjectionTarget {
     // raw xor we attempted.
     const auto after = slot.device->mmio_read(slot.offset);
     record.after = after.is_ok() ? after.value() : flipped;
+    if (record.after != record.before) record.changed = kChangedDevice;
     return {record};
   }
 };
@@ -253,6 +271,47 @@ class DramTarget final : public InjectionTarget {
 };
 
 }  // namespace
+
+bool dead_in_golden(const FaultRecord& record, std::uint32_t index,
+                    const util::TouchLog& golden, const mem::PhysicalMemory& dram) {
+  using Field = util::TouchLog::GicField;
+  if ((record.changed & (kChangedPending | kChangedDevice)) != 0) return false;
+  const auto touched = [&](std::uint64_t key) { return golden.touched_since(key, index); };
+  if ((record.changed & kChangedDramPage) != 0 &&
+      touched(util::TouchLog::page_key((record.addr - dram.base()) / mem::kPageSize))) {
+    return false;
+  }
+  const auto irq = static_cast<std::uint32_t>(record.addr);
+  if ((record.changed & kChangedGicEnable) != 0 &&
+      touched(util::TouchLog::gic_key(irq, Field::Enable))) {
+    return false;
+  }
+  if ((record.changed & kChangedGicPriority) != 0 &&
+      touched(util::TouchLog::gic_key(irq, Field::Priority))) {
+    return false;
+  }
+  return (record.changed & kChangedGicTarget) == 0 ||
+         !touched(util::TouchLog::gic_key(irq, Field::Target));
+}
+
+void write_back(const FaultRecord& record, jh::Hypervisor& hv) {
+  irq::Gic& gic = hv.board().gic();
+  const auto irq = static_cast<irq::IrqId>(record.addr);
+  if ((record.changed & kChangedDramPage) != 0) {
+    (void)hv.board().dram().write_u8(record.addr, static_cast<std::uint8_t>(record.after));
+  }
+  if ((record.changed & kChangedGicEnable) != 0) gic.set_enabled(irq, record.after != 0);
+  if ((record.changed & kChangedGicPriority) != 0) {
+    // An enable flip that also changed the priority lifted it from idle
+    // to the default; a priority flip's `after` is the priority itself.
+    (void)gic.set_priority(irq, (record.changed & kChangedGicEnable) != 0
+                                    ? irq::kDefaultPriority
+                                    : static_cast<std::uint8_t>(record.after));
+  }
+  if ((record.changed & kChangedGicTarget) != 0) {
+    (void)gic.set_target(irq, static_cast<int>(record.after));
+  }
+}
 
 std::unique_ptr<InjectionTarget> make_injection_target(const TestPlan& plan) {
   switch (plan.fault_domain) {

@@ -22,6 +22,10 @@
 // keep the pending-bitmap mirror, timer writes bump the deadline
 // generation, DRAM writes mark pages dirty — so snapshots, caches and
 // restore() see injected state exactly like guest-written state.
+//
+// Each record names the locations it changed (FaultRecord::changed) and
+// names none for a no-op, so the executor can tell a dead injection — one
+// the fault-free run never looks at again — from a live one.
 #pragma once
 
 #include <memory>
@@ -33,6 +37,7 @@
 #include "core/plan.hpp"
 #include "mem/phys_mem.hpp"
 #include "util/rng.hpp"
+#include "util/touch_log.hpp"
 
 namespace mcs::fi {
 
@@ -59,6 +64,20 @@ class InjectionTarget {
                                             mem::PhysicalMemory& memory,
                                             mem::PhysAddr base,
                                             std::uint64_t size);
+
+/// The dead-location rule for a non-register record made at the plan's
+/// injecting call `index`: true when every location it changed is one the
+/// golden suffix never touches from that call on. Pending bits and device
+/// registers are always live; a no-op is dead. Register flips are judged
+/// by the injector's tracked reads instead (fi::Injector::dead).
+[[nodiscard]] bool dead_in_golden(const FaultRecord& record, std::uint32_t index,
+                                  const util::TouchLog& golden,
+                                  const mem::PhysicalMemory& dram);
+
+/// Write a dead record's `after` values back into `hv`'s machine — after
+/// a ladder rung restore put the golden run's values there. Only the
+/// locations the record names are written, with no side effects.
+void write_back(const FaultRecord& record, jh::Hypervisor& hv);
 
 /// Factory: the plan's fault_domain (plus, for the register domain, its
 /// fault model kind and register restriction) → target instance.

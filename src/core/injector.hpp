@@ -6,13 +6,20 @@
 // did. The hypervisor handler then consumes the corrupted frame — outcome
 // classes *emerge* from handler semantics, never from the injector.
 //
-// It also judges whether its injections could matter. A register-domain
-// injection marks the frame registers it changed (the model's own read of
-// the old value does not count); the handlers read frame registers only
-// through arch::EntryFrame::reg(), which reports a read of a marked one
-// back here. A run whose injections changed only registers nobody read is
-// *masked*: its machine followed the fault-free trajectory. Injections in
-// the other domains change live machine state and are never masked.
+// It also judges whether its injections could matter yet. A register-
+// domain injection marks the frame registers it changed (the model's own
+// read of the old value does not count); the handlers read frame
+// registers only through arch::EntryFrame::reg(), which reports a read of
+// a marked one back here. A run whose injections changed only registers
+// nobody read is *masked*: its machine followed the fault-free trajectory.
+// In the other domains each record names the machine locations it changed
+// (FaultRecord::changed), and dead() checks them against a golden suffix's
+// touch log: a change the fault-free run never touches again is dead too.
+//
+// Golden mode (set_golden) turns the injector into the fault-free run's
+// counter: it counts the same calls, never injects or draws from its RNG,
+// and at each call that would inject it opens that call's interval in the
+// golden suffix's touch log and notes the tick.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include "hypervisor/hypervisor.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
+#include "util/touch_log.hpp"
 
 namespace mcs::fi {
 
@@ -87,6 +95,23 @@ class Injector {
     return !records_.empty() && !effective_;
   }
 
+  /// True when every injection so far is dead against the golden suffix
+  /// whose touch log is `golden`: a register flip no handler read, a no-op,
+  /// or changes to DRAM pages and GIC line fields that the fault-free run
+  /// never touches from that injecting call on (fi::dead_in_golden).
+  /// Needs the attached hypervisor for the DRAM window.
+  [[nodiscard]] bool dead(const util::TouchLog& golden) const;
+
+  /// Golden mode: count calls, never inject; at each call that would
+  /// inject, open its interval in `touches` and note the tick. Set before
+  /// attach(); the RNG is never drawn.
+  void set_golden(util::TouchLog* touches) noexcept { golden_ = touches; }
+
+  /// Golden mode: the board tick of each call that would have injected.
+  [[nodiscard]] const std::vector<std::uint64_t>& golden_ticks() const noexcept {
+    return golden_ticks_;
+  }
+
  private:
   TestPlan plan_;
   std::unique_ptr<InjectionTarget> target_;
@@ -102,6 +127,8 @@ class Injector {
   bool effective_ = false;
   std::uint64_t calls_ = 0;
   std::vector<InjectionRecord> records_;
+  util::TouchLog* golden_ = nullptr;  ///< golden mode's touch log
+  std::vector<std::uint64_t> golden_ticks_;
 };
 
 }  // namespace mcs::fi

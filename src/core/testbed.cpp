@@ -30,7 +30,14 @@ void Testbed::reset() {
   // held snapshot is gone.
   run_arena_.reset();
   snapshot_valid_ = false;
-  snapshot_.learned = PointLearned{};
+  forget_golden_suffix();
+}
+
+void Testbed::forget_golden_suffix() noexcept {
+  golden_.valid = false;
+  golden_.injecting_ticks.clear();
+  golden_.touches.clear();
+  rung_count_ = 0;
 }
 
 void Testbed::capture_snapshot(const std::string& key) {
@@ -40,24 +47,85 @@ void Testbed::capture_snapshot(const std::string& key) {
 void Testbed::capture_snapshot(const std::string& key, const RunPoint& point) {
   // The snapshot owns the arena base: drop previous snapshot + scratch.
   run_arena_.reset();
-  board_->snapshot_to(snapshot_.board, run_arena_);
-  hv_.snapshot_to(snapshot_.hv);
-  machine_.snapshot_to(snapshot_.machine);
-  linux_.snapshot_to(snapshot_.linux_root);
-  freertos_.snapshot_to(snapshot_.freertos);
-  osek_.snapshot_to(snapshot_.osek);
-  snapshot_.cell_id = cell_id_;
-  snapshot_.secondary_cell_id = secondary_cell_id_;
-  snapshot_.enabled = enabled_;
-  snapshot_.ivshmem = ivshmem_;
-  snapshot_.tuning = tuning_;
-  snapshot_.ivshmem_stats = ivshmem_stats_;
+  capture_into(snapshot_);
   snapshot_.point = point;
-  snapshot_.learned = PointLearned{};
   snapshot_.arena_mark = run_arena_.mark();
   snapshot_.key = key;
   snapshot_.bytes = snapshot_.board.dram.bytes();
   snapshot_valid_ = true;
+  forget_golden_suffix();
+}
+
+void Testbed::capture_into(TestbedSnapshot& out) {
+  board_->snapshot_to(out.board, run_arena_);
+  hv_.snapshot_to(out.hv);
+  machine_.snapshot_to(out.machine);
+  linux_.snapshot_to(out.linux_root);
+  freertos_.snapshot_to(out.freertos);
+  osek_.snapshot_to(out.osek);
+  out.cell_id = cell_id_;
+  out.secondary_cell_id = secondary_cell_id_;
+  out.enabled = enabled_;
+  out.ivshmem = ivshmem_;
+  out.tuning = tuning_;
+  out.ivshmem_stats = ivshmem_stats_;
+}
+
+void Testbed::track_touches(util::TouchLog* touches) noexcept {
+  board_->dram().set_touch_log(touches);
+  board_->gic().set_touch_log(touches);
+}
+
+bool Testbed::capture_rung(const RunPoint& point) {
+  if (!snapshot_valid_ || rung_count_ == kLadderRungs) return false;
+  if (rungs_.size() == rung_count_) rungs_.emplace_back();
+  TestbedSnapshot& rung = rungs_[rung_count_];
+  capture_into(rung);  // pages land above the point's (and earlier rungs')
+  const auto outgrew = [&rung, this] {
+    return rung.freertos.kernel.tasks.size() > snapshot_.freertos.kernel.tasks.size() ||
+           rung.freertos.kernel.queues.size() > snapshot_.freertos.kernel.queues.size() ||
+           rung.osek.os.tasks.size() > snapshot_.osek.os.tasks.size() ||
+           rung.osek.os.alarms.size() > snapshot_.osek.os.alarms.size();
+  };
+  // Without advancing the mark, the next restore discards the pages.
+  if (outgrew()) return false;
+  rung.point = point;
+  snapshot_.arena_mark = run_arena_.mark();  // the point owns every rung's pages
+  ++rung_count_;
+  const platform::Board::Snapshot& from = snapshot_.board;
+  tails_.uart0.assign(board_->uart0().captured(), from.uart0.captured_size);
+  tails_.uart1.assign(board_->uart1().captured(), from.uart1.captured_size);
+  const auto& log = board_->log().records();
+  tails_.log.assign(log.begin() + static_cast<std::ptrdiff_t>(from.log_records), log.end());
+  const auto& root = linux_.records();
+  tails_.root.assign(
+      root.begin() + static_cast<std::ptrdiff_t>(snapshot_.linux_root.record_count),
+      root.end());
+  return true;
+}
+
+void Testbed::restore_rung(std::size_t index) {
+  const TestbedSnapshot& rung = rungs_[index];
+  run_arena_.rewind_to(snapshot_.arena_mark);
+  restore_state(rung);
+  // Append-only state: the point's prefix, then what the golden run
+  // appended up to this rung.
+  const platform::Board::Snapshot& from = snapshot_.board;
+  board_->uart0().restore_capture(
+      from.uart0.captured_size,
+      std::string_view(tails_.uart0)
+          .substr(0, rung.board.uart0.captured_size - from.uart0.captured_size));
+  board_->uart1().restore_capture(
+      from.uart1.captured_size,
+      std::string_view(tails_.uart1)
+          .substr(0, rung.board.uart1.captured_size - from.uart1.captured_size));
+  board_->log().restore_tail(
+      from.log_records,
+      std::span(tails_.log).first(rung.board.log_records - from.log_records));
+  linux_.restore_records(
+      snapshot_.linux_root.record_count,
+      std::span(tails_.root)
+          .first(rung.linux_root.record_count - snapshot_.linux_root.record_count));
 }
 
 bool Testbed::restore_snapshot() {
@@ -68,6 +136,10 @@ bool Testbed::restore_snapshot() {
 
 void Testbed::restore(const TestbedSnapshot& snapshot) {
   run_arena_.rewind_to(snapshot.arena_mark);
+  restore_state(snapshot);
+}
+
+void Testbed::restore_state(const TestbedSnapshot& snapshot) {
   board_->restore_from(snapshot.board);
   hv_.restore_from(snapshot.hv);
   machine_.restore_from(snapshot.machine);

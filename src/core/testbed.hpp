@@ -11,11 +11,19 @@
 // platform::Board (e.g. the 4-CPU quad-a7 variant) can be injected, in
 // which case a *secondary* non-root cell can run concurrently on its own
 // core and the two cells can exchange ivshmem traffic.
+//
+// Snapshots: a testbed holds one rewind point (TestbedSnapshot) and, once
+// the executor has run the point's golden suffix, that suffix's result
+// and touch log (GoldenSuffix) plus a ladder of up to kLadderRungs later
+// snapshots of the same fault-free run. The point restores backwards
+// along the slot's history; a rung restores *forwards*, into a run that
+// is behind it on the golden trajectory, so it re-appends the append-
+// only state (UART bytes, event log, root records) the golden run wrote
+// after the point. Capturing a new point or resetting drops all of it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +36,9 @@
 #include "hypervisor/machine.hpp"
 #include "platform/board.hpp"
 #include "util/arena.hpp"
+#include "util/log.hpp"
 #include "util/status.hpp"
+#include "util/touch_log.hpp"
 
 namespace mcs::fi {
 
@@ -72,19 +82,30 @@ struct RunPoint {
   std::uint64_t window_close = 0;    ///< absolute board tick
 };
 
-/// What runs from a rewind point learned after it was captured (see
-/// fi::CampaignExecutor): the tick of the plan's first injecting call,
-/// where every restored run's result may already be decided, and the
-/// result of the first run from the point whose injections were all
-/// masked — it followed the fault-free trajectory, so every later masked
-/// run that injects nothing more before the close ends the same way.
-struct PointLearned {
-  std::uint64_t first_injection_tick = 0;  ///< 0 = not known
-  /// That run's result (injection fields included: readers replace them),
-  /// its filtered-call count at the close and its probe setting.
-  std::optional<RunResult> masked_result;
-  std::uint64_t masked_calls = 0;
-  bool masked_probe_recovery = false;
+/// Rungs per golden-suffix ladder (see fi::CampaignExecutor). A run stays
+/// on the ladder only while every injection it made is dead; at the grid's
+/// measured ~70 % dead share per injection, fewer than one run in ten
+/// (0.7^7 ≈ 0.08) is still on it after seven injections, so more rungs
+/// would buy little. Runs past the last rung continue live.
+inline constexpr std::size_t kLadderRungs = 8;
+
+/// What a rewind point's golden suffix learned (see fi::CampaignExecutor):
+/// the rest of the window run once fault-free from the point, right after
+/// the point was captured. Its ladder rungs live in the Testbed.
+struct GoldenSuffix {
+  bool valid = false;           ///< a golden suffix ran from the held point
+  /// What the suffix depends on beyond the rewind key: the injection rate
+  /// (its intervals, rungs and ticks follow the rate's calls) and the
+  /// probe setting (the probe is part of its result and its touches).
+  std::uint32_t rate = 0;
+  bool probe_recovery = false;
+  /// The fault-free result: epilogue, finish() and probe included.
+  RunResult result;
+  /// Board tick of each injecting call inside the window, in call order.
+  std::vector<std::uint64_t> injecting_ticks;
+  /// Per DRAM page and GIC line field, the last injecting-call interval the
+  /// golden run touched it in, through epilogue, finish() and probe.
+  util::TouchLog touches;
 };
 
 /// Everything a run can mutate, captured at a tick boundary of a slot's
@@ -93,7 +114,8 @@ struct PointLearned {
 /// replay. Page payloads live in the testbed's run arena *below*
 /// `arena_mark`; per-run scratch is placed above the mark, and restore
 /// rewinds to it — so the snapshot survives any number of runs while
-/// run-scoped allocations are reclaimed.
+/// run-scoped allocations are reclaimed. Ladder rungs are snapshots too;
+/// their pages sit above the point's, under the point's mark.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -111,7 +133,6 @@ struct TestbedSnapshot {
   IvshmemTrafficStats ivshmem_stats;
 
   RunPoint point;                  ///< the captured run's context
-  PointLearned learned;            ///< cleared by every capture
 
   util::Arena::Mark arena_mark{};  ///< run-arena fill level owned by the snapshot
   std::string key;                 ///< identity (the executor's rewind key)
@@ -181,10 +202,36 @@ class Testbed {
 
   [[nodiscard]] const TestbedSnapshot& snapshot() const noexcept { return snapshot_; }
 
-  /// What later runs may learn about the held snapshot (the executor's
-  /// decided-run state). Every capture_snapshot() and reset() clears it;
-  /// restores keep it.
-  [[nodiscard]] PointLearned& learned() noexcept { return snapshot_.learned; }
+  // --- golden suffix ------------------------------------------------------
+  /// The held point's golden suffix (the executor's decided-run state).
+  /// Every capture_snapshot() and reset() clears it and drops the ladder;
+  /// restores keep both.
+  [[nodiscard]] GoldenSuffix& golden_suffix() noexcept { return golden_; }
+
+  /// Report every DRAM page and GIC line-field read or write to `touches`
+  /// (null stops reporting).
+  void track_touches(util::TouchLog* touches) noexcept;
+
+  /// Capture a ladder rung of the held point at the current tick boundary
+  /// of its golden suffix, with the run context `point` (the call count to
+  /// resume from). The rung's DRAM pages join the point's at the arena
+  /// base, and the UART bytes, log records and root records the golden run
+  /// appended since the point are kept beside the ladder. Returns false,
+  /// capturing nothing, when the ladder is full, no point is held, or a
+  /// guest's task, queue or alarm table grew since the point (those tables
+  /// restore only along their history).
+  bool capture_rung(const RunPoint& point);
+
+  [[nodiscard]] std::size_t rungs() const noexcept { return rung_count_; }
+  [[nodiscard]] const RunPoint& rung_point(std::size_t index) const noexcept {
+    return rungs_[index].point;
+  }
+
+  /// Rewind to rung `index`: the golden suffix's state at that tick, from
+  /// any state of a run of the held point that is behind the rung on the
+  /// golden trajectory. Heap-allocation-free in steady state (pinned by
+  /// the pool's zero-allocation test).
+  void restore_rung(std::size_t index);
   [[nodiscard]] std::size_t snapshot_bytes() const noexcept {
     return snapshot_valid_ ? snapshot_.bytes : 0;
   }
@@ -337,6 +384,23 @@ class Testbed {
   util::Arena run_arena_{4 * 1024};
   TestbedSnapshot snapshot_;
   bool snapshot_valid_ = false;
+  GoldenSuffix golden_;
+  /// Grown on first use: most slots' points never get a rung.
+  std::vector<TestbedSnapshot> rungs_;
+  std::size_t rung_count_ = 0;
+  /// Append-only state the golden suffix added after the point, up to its
+  /// last rung: a rung restore cuts back to the point and re-appends.
+  struct GoldenTails {
+    std::string uart0;
+    std::string uart1;
+    std::vector<util::LogRecord> log;
+    std::vector<guest::MgmtRecord> root;
+  };
+  GoldenTails tails_;
+
+  void capture_into(TestbedSnapshot& out);
+  void restore_state(const TestbedSnapshot& snapshot);
+  void forget_golden_suffix() noexcept;
 };
 
 }  // namespace mcs::fi

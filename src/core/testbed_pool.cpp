@@ -88,7 +88,9 @@ TestbedPool::Stats TestbedPool::stats() const {
   stats.captures = captures_.load(std::memory_order_relaxed);
   stats.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
   stats.dirty_pages = dirty_pages_.load(std::memory_order_relaxed);
-  stats.masked_reuses = masked_reuses_.load(std::memory_order_relaxed);
+  stats.ladder_captures = ladder_captures_.load(std::memory_order_relaxed);
+  stats.golden_results = golden_results_.load(std::memory_order_relaxed);
+  stats.ladder_restores = ladder_restores_.load(std::memory_order_relaxed);
   stats.panic_stops = panic_stops_.load(std::memory_order_relaxed);
   stats.tlb_hits = tlb_hits_.load(std::memory_order_relaxed);
   stats.tlb_misses = tlb_misses_.load(std::memory_order_relaxed);

@@ -114,11 +114,13 @@ class TestbedPool {
     // Per-run provisioning counters (recorded lock-free by the executor).
     std::uint64_t run_resets = 0;      ///< runs provisioned by full reset+boot
     std::uint64_t run_restores = 0;    ///< runs resumed from a rewind point
-    std::uint64_t captures = 0;        ///< snapshots captured (≤ 2 per learning run)
+    std::uint64_t captures = 0;        ///< rewind points captured (≤ 2 per learning run)
     std::uint64_t snapshot_bytes = 0;  ///< DRAM payload bytes, last capture
     std::uint64_t dirty_pages = 0;     ///< dirty DRAM pages, last capture
-    // Restored runs decided at their first injecting call.
-    std::uint64_t masked_reuses = 0;   ///< took the point's cached masked result
+    std::uint64_t ladder_captures = 0; ///< golden-suffix ladder rungs captured
+    // Runs from a rewind point decided at an injecting call.
+    std::uint64_t golden_results = 0;  ///< took the golden suffix's result
+    std::uint64_t ladder_restores = 0; ///< jumped to the next ladder rung
     std::uint64_t panic_stops = 0;     ///< skipped a panicked machine's window
     // Guest-access fast-path activity summed over every executor run
     // (windowed per run via Testbed::access_counters deltas).
@@ -132,8 +134,14 @@ class TestbedPool {
   // Lock-free per-run counters for the executor's steady path.
   void record_reset() noexcept { run_resets_.fetch_add(1, std::memory_order_relaxed); }
   void record_restore() noexcept { run_restores_.fetch_add(1, std::memory_order_relaxed); }
-  void record_masked_reuse() noexcept {
-    masked_reuses_.fetch_add(1, std::memory_order_relaxed);
+  void record_golden_result() noexcept {
+    golden_results_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void record_ladder_restore() noexcept {
+    ladder_restores_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void record_ladder_capture() noexcept {
+    ladder_captures_.fetch_add(1, std::memory_order_relaxed);
   }
   void record_panic_stop() noexcept {
     panic_stops_.fetch_add(1, std::memory_order_relaxed);
@@ -175,7 +183,9 @@ class TestbedPool {
   std::atomic<std::uint64_t> captures_{0};
   std::atomic<std::uint64_t> snapshot_bytes_{0};
   std::atomic<std::uint64_t> dirty_pages_{0};
-  std::atomic<std::uint64_t> masked_reuses_{0};
+  std::atomic<std::uint64_t> ladder_captures_{0};
+  std::atomic<std::uint64_t> golden_results_{0};
+  std::atomic<std::uint64_t> ladder_restores_{0};
   std::atomic<std::uint64_t> panic_stops_{0};
   std::atomic<std::uint64_t> tlb_hits_{0};
   std::atomic<std::uint64_t> tlb_misses_{0};

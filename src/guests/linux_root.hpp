@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,13 @@ class LinuxRootImage final : public jh::GuestImage {
     last_poll_state_ = snapshot.last_poll_state;
     jiffies_ = snapshot.jiffies;
     quantum_counter_ = snapshot.quantum_counter;
+  }
+
+  /// Truncate the management records to `count`, then append copies of
+  /// `tail` (a ladder rung restore, see fi::Testbed).
+  void restore_records(std::size_t count, std::span<const MgmtRecord> tail) {
+    if (records_.size() > count) records_.resize(count);
+    records_.insert(records_.end(), tail.begin(), tail.end());
   }
 
   /// Power-on restore: pending commands, management records and driver

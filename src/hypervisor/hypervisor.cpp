@@ -181,9 +181,10 @@ arch::EntryFrame Hypervisor::make_frame(int cpu, arch::Syndrome hsr,
                                         std::uint32_t r2, std::uint32_t r3,
                                         std::uint32_t r4) const {
   arch::EntryFrame frame = board_->cpu(cpu).make_trap_frame(hsr);
-  frame.bank.set(Reg::R2, r2);
-  frame.bank.set(Reg::R3, r3);
-  frame.bank.set(Reg::R4, r4);
+  arch::FrameWriter payload = frame.writer();
+  payload.set(Reg::R2, r2);
+  payload.set(Reg::R3, r3);
+  payload.set(Reg::R4, r4);
   return frame;
 }
 
@@ -690,7 +691,7 @@ std::optional<IrqDelivery> Hypervisor::irqchip_handle_irq(int cpu) {
   // handler receives the acknowledged vector in r0.
   arch::EntryFrame frame =
       make_frame(cpu, arch::Syndrome::make(arch::ExceptionClass::Unknown, 0));
-  frame.bank.set(Reg::R0, acked);
+  frame.writer().set(Reg::R0, acked);
   fire_hook(HookPoint::IrqchipHandleIrq, frame);
   const std::uint32_t vector = frame.reg(Reg::R0);
 

@@ -38,6 +38,8 @@ util::Status Gic::check_cpu(int cpu) const {
 
 util::Status Gic::enable(IrqId irq) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
+  note(irq, util::TouchLog::GicField::Enable);
+  note(irq, util::TouchLog::GicField::Priority);
   lines_[irq].enabled = true;
   // A line enabled while still at the idle priority would be deliverable
   // never; give it the reset default (guests may override via IPRIORITYR).
@@ -49,22 +51,28 @@ util::Status Gic::enable(IrqId irq) {
 
 util::Status Gic::disable(IrqId irq) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
+  note(irq, util::TouchLog::GicField::Enable);
   lines_[irq].enabled = false;
   return util::ok_status();
 }
 
 bool Gic::is_enabled(IrqId irq) const noexcept {
-  return irq < kNumIrqs && lines_[irq].enabled;
+  if (irq >= kNumIrqs) return false;
+  note(irq, util::TouchLog::GicField::Enable);
+  return lines_[irq].enabled;
 }
 
 util::Status Gic::set_priority(IrqId irq, std::uint8_t priority) {
   MCS_RETURN_IF_ERROR(check_irq(irq));
+  note(irq, util::TouchLog::GicField::Priority);
   lines_[irq].priority = priority;
   return util::ok_status();
 }
 
 std::uint8_t Gic::priority(IrqId irq) const noexcept {
-  return irq < kNumIrqs ? lines_[irq].priority : kIdlePriority;
+  if (irq >= kNumIrqs) return kIdlePriority;
+  note(irq, util::TouchLog::GicField::Priority);
+  return lines_[irq].priority;
 }
 
 util::Status Gic::set_target(IrqId irq, int cpu) {
@@ -73,18 +81,22 @@ util::Status Gic::set_target(IrqId irq, int cpu) {
   if (!is_spi(irq)) {
     return util::invalid_argument("only SPIs are routable");
   }
+  note(irq, util::TouchLog::GicField::Target);
   lines_[irq].target = cpu;
   return util::ok_status();
 }
 
 int Gic::target(IrqId irq) const noexcept {
-  return irq < kNumIrqs ? lines_[irq].target : 0;
+  if (irq >= kNumIrqs) return 0;
+  note(irq, util::TouchLog::GicField::Target);
+  return lines_[irq].target;
 }
 
 util::Status Gic::raise_spi(IrqId irq) {
   // Valid-wiring fast path first: peripherals assert their line on every
   // event, so don't pay the Status validation round-trips per raise.
   if (is_spi(irq)) [[likely]] {
+    note(irq, util::TouchLog::GicField::Target);
     mark_pending(lines_[irq].target, irq);
     return util::ok_status();
   }
@@ -128,6 +140,7 @@ std::uint8_t Gic::priority_mask(int cpu) const noexcept {
 
 IrqId Gic::peek(int cpu) const noexcept {
   if (cpu < 0 || cpu >= num_cpus_) return kSpuriousIrq;
+  if (touches_ != nullptr) [[unlikely]] note_pending_lines(cpu);
   const auto cpu_index = static_cast<std::size_t>(cpu);
   IrqId best = kSpuriousIrq;
   std::uint8_t best_priority = kIdlePriority;
@@ -206,6 +219,18 @@ void Gic::rebuild_pending_bits() noexcept {
         pending_bits_[static_cast<std::size_t>(cpu)][irq / 64] |=
             std::uint64_t{1} << (irq % 64);
       }
+    }
+  }
+}
+
+void Gic::note_pending_lines(int cpu) const {
+  for (std::size_t word = 0; word < kPendingWords; ++word) {
+    for (std::uint64_t bits = pending_bits_[static_cast<std::size_t>(cpu)][word];
+         bits != 0; bits &= bits - 1) {
+      const auto irq =
+          static_cast<IrqId>(word * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+      touches_->note(util::TouchLog::gic_key(irq, util::TouchLog::GicField::Enable));
+      touches_->note(util::TouchLog::gic_key(irq, util::TouchLog::GicField::Priority));
     }
   }
 }

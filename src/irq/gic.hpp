@@ -8,6 +8,11 @@
 // peripherals — UART, GPIO...). Acknowledge returns 1023 when nothing is
 // pending ("spurious"), exactly what a corrupted vector number defaults to
 // in the paper's profiling rationale for excluding the IRQ handler.
+//
+// While a golden suffix runs (fi::CampaignExecutor), every read or write
+// of a line's enable, priority or target field is reported to a
+// util::TouchLog. Outside golden suffixes the log pointer is null and the
+// hot paths (peek, raise_spi) pay one predictable branch.
 #pragma once
 
 #include <array>
@@ -15,6 +20,7 @@
 #include <optional>
 
 #include "util/status.hpp"
+#include "util/touch_log.hpp"
 
 namespace mcs::irq {
 
@@ -110,6 +116,12 @@ class Gic {
     if (irq < kNumIrqs && cpu >= 0 && cpu < num_cpus_) clear_pending(cpu, irq);
   }
 
+  /// Set a line's enable bit and nothing else (enable() also lifts an
+  /// idle priority to the default): writes back a dead enable flip.
+  void set_enabled(IrqId irq, bool enabled) noexcept {
+    if (irq < kNumIrqs) lines_[irq].enabled = enabled;
+  }
+
   /// Drop all pending/active state for a CPU (cell destruction reclaim).
   void reset_cpu(int cpu) noexcept;
 
@@ -121,6 +133,11 @@ class Gic {
 
   // --- statistics -------------------------------------------------------
   [[nodiscard]] std::uint64_t delivered(IrqId irq) const noexcept;
+
+  /// Report enable/priority/target reads and writes to `touches` from now
+  /// on (null stops reporting). Not part of the GIC's state: never reset,
+  /// never snapshotted.
+  void set_touch_log(util::TouchLog* touches) noexcept { touches_ = touches; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
   struct Snapshot;
@@ -158,6 +175,12 @@ class Gic {
   }
   void rebuild_pending_bits() noexcept;
 
+  void note(IrqId irq, util::TouchLog::GicField field) const {
+    if (touches_ != nullptr) [[unlikely]] touches_->note(util::TouchLog::gic_key(irq, field));
+  }
+  /// peek() reads the enable and priority of every pending line on `cpu`.
+  void note_pending_lines(int cpu) const;
+
   [[nodiscard]] util::Status check_irq(IrqId irq) const;
   [[nodiscard]] util::Status check_cpu(int cpu) const;
 
@@ -165,6 +188,7 @@ class Gic {
   std::array<Line, kNumIrqs> lines_{};
   std::array<std::uint8_t, kMaxCpus> priority_mask_{};
   std::array<PendingBits, kMaxCpus> pending_bits_{};
+  util::TouchLog* touches_ = nullptr;
 };
 
 /// The whole distributor + CPU-interface state, trivially copyable —

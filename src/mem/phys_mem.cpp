@@ -55,10 +55,9 @@ void PhysicalMemory::snapshot_to(Snapshot& out, util::Arena& arena) const {
             });
 }
 
-void PhysicalMemory::restore_from(const Snapshot& snapshot) noexcept {
-  // The current dirty list is a superset of the snapshot's page set
-  // (flags are cleared only here and in reset_contents), so one pass over
-  // it reaches every page whose contents can differ from the capture.
+void PhysicalMemory::restore_from(const Snapshot& snapshot) {
+  // Pass 1, the current dirty pages: copy the captured ones back, zero
+  // and clean the rest.
   const auto begin = snapshot.pages.begin();
   const auto end = snapshot.pages.end();
   for (const std::uint64_t index : dirty_list_) {
@@ -74,16 +73,24 @@ void PhysicalMemory::restore_from(const Snapshot& snapshot) noexcept {
       dirty_flags_[index] = 0;
     }
   }
-  // The dirty set is now exactly the snapshot's (those flags stayed set).
+  // Pass 2, captured pages that were clean here (a snapshot taken later
+  // than the current state): materialise, copy and dirty them. The dirty
+  // set is then exactly the snapshot's.
   dirty_list_.clear();
   for (const Snapshot::Page& page : snapshot.pages) {
-    dirty_list_.push_back(page.index);
+    if (dirty_flags_[page.index] == 0) {
+      // touch_page() materialises, dirties and lists the page.
+      std::memcpy(touch_page(base_ + page.index * kPageSize), page.data, kPageSize);
+    } else {
+      dirty_list_.push_back(page.index);
+    }
   }
 }
 
 util::Status PhysicalMemory::write_u8(PhysAddr addr, std::uint8_t value) {
   if (!contains(addr)) return out_of_range(addr);
   ++slow_ops_;
+  note_span(addr, 1);
   touch_page(addr)[(addr - base_) % kPageSize] = value;
   return util::ok_status();
 }
@@ -104,6 +111,7 @@ util::Status PhysicalMemory::write_block(PhysAddr addr,
                                          std::span<const std::uint8_t> data) {
   if (!contains(addr, data.size())) return out_of_range(addr);
   ++slow_ops_;
+  note_span(addr, data.size());
   std::uint64_t offset = addr - base_;
   std::size_t written = 0;
   while (written < data.size()) {
@@ -122,6 +130,7 @@ util::Status PhysicalMemory::write_block(PhysAddr addr,
 util::Expected<std::uint8_t> PhysicalMemory::read_u8(PhysAddr addr) const {
   if (!contains(addr)) return out_of_range(addr);
   ++slow_ops_;
+  note_span(addr, 1);
   const std::uint8_t* page = find_page(addr);
   if (page == nullptr) return std::uint8_t{0};
   return page[(addr - base_) % kPageSize];
@@ -147,6 +156,7 @@ util::Status PhysicalMemory::read_block(PhysAddr addr,
                                         std::span<std::uint8_t> out) const {
   if (!contains(addr, out.size())) return out_of_range(addr);
   ++slow_ops_;
+  note_span(addr, out.size());
   std::uint64_t offset = addr - base_;
   std::size_t read = 0;
   while (read < out.size()) {
@@ -170,6 +180,7 @@ util::Status PhysicalMemory::fill(PhysAddr addr, std::uint64_t len,
                                   std::uint8_t value) {
   if (!contains(addr, len)) return out_of_range(addr);
   ++slow_ops_;
+  note_span(addr, len);
   std::uint64_t offset = 0;
   while (offset < len) {
     const std::uint64_t in_page = (addr + offset - base_) % kPageSize;

@@ -22,6 +22,12 @@
 // accesses are bounds checked against the DRAM window; device windows
 // live *outside* DRAM and are handled by the board's MMIO dispatch, not
 // here.
+//
+// While a golden suffix runs (fi::CampaignExecutor), every access also
+// reports the pages it spans to a util::TouchLog — fast and slow paths,
+// reads and writes, reads of pages not yet materialised. Outside golden
+// suffixes the log pointer is null and each access pays one predictable
+// branch.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +38,7 @@
 
 #include "util/arena.hpp"
 #include "util/status.hpp"
+#include "util/touch_log.hpp"
 
 namespace mcs::mem {
 
@@ -73,6 +80,7 @@ class PhysicalMemory {
       const std::uint64_t index = off / kPageSize;
       if (std::uint8_t* page = table_[index];
           page != nullptr && dirty_flags_[index] != 0) {
+        if (touches_ != nullptr) [[unlikely]] touches_->note(index);
         ++fast_ops_;
         std::memcpy(page + (off & (kPageSize - 1)), &value, 4);
         return util::ok_status();
@@ -87,6 +95,7 @@ class PhysicalMemory {
       const std::uint64_t index = off / kPageSize;
       if (std::uint8_t* page = table_[index];
           page != nullptr && dirty_flags_[index] != 0) {
+        if (touches_ != nullptr) [[unlikely]] touches_->note(index);
         ++fast_ops_;
         std::memcpy(page + (off & (kPageSize - 1)), &value, 8);
         return util::ok_status();
@@ -105,6 +114,7 @@ class PhysicalMemory {
     const std::uint64_t off = addr - base_;
     if ((off & 3) == 0 && (off | 3) < size_) [[likely]] {
       ++fast_ops_;
+      if (touches_ != nullptr) [[unlikely]] touches_->note(off / kPageSize);
       const std::uint8_t* page = table_[off / kPageSize];
       if (page == nullptr) return std::uint32_t{0};
       std::uint32_t value;
@@ -118,6 +128,7 @@ class PhysicalMemory {
     const std::uint64_t off = addr - base_;
     if ((off & 7) == 0 && (off | 7) < size_) [[likely]] {
       ++fast_ops_;
+      if (touches_ != nullptr) [[unlikely]] touches_->note(off / kPageSize);
       const std::uint8_t* page = table_[off / kPageSize];
       if (page == nullptr) return std::uint64_t{0};
       std::uint64_t value;
@@ -148,6 +159,11 @@ class PhysicalMemory {
   /// Accesses that went through the byte-block slow path (unaligned,
   /// page-crossing, first-touch writes, block transfers, faults).
   [[nodiscard]] std::uint64_t slow_ops() const noexcept { return slow_ops_; }
+
+  /// Report every page an access spans to `touches` from now on (null
+  /// stops reporting). Not part of the memory's state: never reset,
+  /// never snapshotted.
+  void set_touch_log(util::TouchLog* touches) noexcept { touches_ = touches; }
 
   /// Drop all contents and page residency (cold reset: the next touch
   /// re-materialises from the rewound arena).
@@ -184,12 +200,13 @@ class PhysicalMemory {
   /// exact: restore_from() reproduces the memory contents bit for bit.
   void snapshot_to(Snapshot& out, util::Arena& arena) const;
 
-  /// Restore the captured contents in place. Touches only pages that are
-  /// currently dirty (a superset of the snapshot's page set — dirty flags
-  /// are only ever cleared by reset/restore themselves), so the cost
-  /// scales with what the run wrote, and the dirty set afterwards equals
-  /// the snapshot's. Zero heap allocations in steady state.
-  void restore_from(const Snapshot& snapshot) noexcept;
+  /// Restore the captured contents in place. Touches the pages that are
+  /// currently dirty and the snapshot's pages, so the cost scales with
+  /// what the run wrote, and the dirty set afterwards equals the
+  /// snapshot's. A snapshot taken later than the current state (a golden
+  /// suffix's ladder rung) may hold pages that are clean here; those are
+  /// materialised and copied. Zero heap allocations in steady state.
+  void restore_from(const Snapshot& snapshot);
 
  private:
   /// Pages are arena chunks; a resident page is always fully initialised.
@@ -197,6 +214,14 @@ class PhysicalMemory {
     return table_[(addr - base_) / kPageSize];
   }
   std::uint8_t* touch_page(PhysAddr addr);
+  /// Report the pages of [addr, addr+len) to the touch log, if one is set.
+  void note_span(PhysAddr addr, std::uint64_t len) const {
+    if (touches_ == nullptr || len == 0) [[likely]] return;
+    for (std::uint64_t page = (addr - base_) / kPageSize;
+         page <= (addr - base_ + len - 1) / kPageSize; ++page) {
+      touches_->note(page);
+    }
+  }
 
   // Out-of-line slow halves of the word accessors (unaligned, crossing,
   // out-of-range, first touch); all funnel through the block path.
@@ -220,6 +245,7 @@ class PhysicalMemory {
   std::size_t resident_ = 0;
   mutable std::uint64_t fast_ops_ = 0;
   mutable std::uint64_t slow_ops_ = 0;
+  util::TouchLog* touches_ = nullptr;
 };
 
 }  // namespace mcs::mem

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "irq/gic.hpp"
@@ -74,6 +75,14 @@ class Uart final : public Device {
     captured_.resize(snapshot.captured_size);
     if (rx_fifo_ != snapshot.rx_fifo) rx_fifo_ = snapshot.rx_fifo;
     tx_irq_enabled_ = snapshot.tx_irq_enabled;
+  }
+
+  /// Cut the capture back to `size` bytes, then append `tail`: a ladder
+  /// rung restore (fi::Testbed) puts back the bytes its golden run sent
+  /// after the rewind point. No allocation once the buffer has held them.
+  void restore_capture(std::size_t size, std::string_view tail) {
+    captured_.resize(size);
+    captured_.append(tail);
   }
 
  private:

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,14 @@ class EventLog {
   /// length reproduces the captured log exactly, without copying records).
   void truncate(std::size_t count) noexcept {
     if (count < records_.size()) records_.resize(count);
+  }
+
+  /// Truncate to `count` records, then append copies of `tail` (a ladder
+  /// rung restore: the records a golden run logged after its rewind
+  /// point). The mirror does not see them again.
+  void restore_tail(std::size_t count, std::span<const LogRecord> tail) {
+    truncate(count);
+    records_.insert(records_.end(), tail.begin(), tail.end());
   }
 
   /// Count records at or above `severity`.

@@ -92,15 +92,15 @@ TEST(Cpu, MakeTrapFrameMaterialisesWorkingSet) {
   Cpu cpu(1);
   cpu.regs().set(Reg::R7, 0x77);  // guest register, must be preserved
   const Syndrome hsr = Syndrome::make(ExceptionClass::Hvc, 0);
-  const EntryFrame frame = cpu.make_trap_frame(hsr);
+  EntryFrame frame = cpu.make_trap_frame(hsr);
   EXPECT_EQ(frame.cpu, 1);
-  EXPECT_EQ(frame.bank[Reg::R0], cpu.expected_trap_context());
-  EXPECT_EQ(frame.bank[Reg::R1], hsr.raw());
-  EXPECT_EQ(frame.bank[Reg::R12], cpu.expected_percpu());
-  EXPECT_EQ(frame.bank[Reg::SP], cpu.expected_hyp_sp());
-  EXPECT_EQ(frame.bank[Reg::LR], kReturnTrampoline);
-  EXPECT_EQ(frame.bank[Reg::PC], kTrapHandlerPc);
-  EXPECT_EQ(frame.bank[Reg::R7], 0x77u);  // dead registers carry guest state
+  EXPECT_EQ(frame.writer().get(Reg::R0), cpu.expected_trap_context());
+  EXPECT_EQ(frame.writer().get(Reg::R1), hsr.raw());
+  EXPECT_EQ(frame.writer().get(Reg::R12), cpu.expected_percpu());
+  EXPECT_EQ(frame.writer().get(Reg::SP), cpu.expected_hyp_sp());
+  EXPECT_EQ(frame.writer().get(Reg::LR), kReturnTrampoline);
+  EXPECT_EQ(frame.writer().get(Reg::PC), kTrapHandlerPc);
+  EXPECT_EQ(frame.writer().get(Reg::R7), 0x77u);  // dead registers carry guest state
 }
 
 TEST(Cpu, PowerStateNames) {

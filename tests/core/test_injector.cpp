@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/testbed.hpp"
+#include "hypervisor/hypercall.hpp"
+
 namespace mcs::fi {
 namespace {
 
@@ -76,12 +81,12 @@ TEST_F(InjectorTest, InjectionMutatesTheFrame) {
   plan_.phase = 1;
   Injector injector(plan_, 42, clock_);
   arch::EntryFrame frame = frame_on_cpu(0);
-  const arch::RegisterBank before = frame.bank;
+  const arch::RegisterBank before = frame.writer().bank();
   injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
   ASSERT_EQ(injector.injections(), 1u);
   const FlipRecord& flip = injector.records()[0].flips[0];
   EXPECT_EQ(before[flip.reg], flip.before);
-  EXPECT_EQ(frame.bank[flip.reg], flip.after);
+  EXPECT_EQ(frame.writer().get(flip.reg), flip.after);
 }
 
 TEST_F(InjectorTest, DisarmedInjectorCountsButDoesNotInject) {
@@ -90,12 +95,12 @@ TEST_F(InjectorTest, DisarmedInjectorCountsButDoesNotInject) {
   Injector injector(plan_, 1, clock_);
   injector.set_armed(false);
   arch::EntryFrame frame = frame_on_cpu(0);
-  const arch::RegisterBank before = frame.bank;
+  const arch::RegisterBank before = frame.writer().bank();
   injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
   EXPECT_EQ(injector.filtered_calls(), 1u);
   EXPECT_EQ(injector.injections(), 0u);
   for (std::size_t i = 0; i < arch::kNumGeneralRegs; ++i) {
-    EXPECT_EQ(frame.bank.get(static_cast<Reg>(i)),
+    EXPECT_EQ(frame.writer().get(static_cast<Reg>(i)),
               before.get(static_cast<Reg>(i)));
   }
 }
@@ -190,7 +195,7 @@ TEST_F(InjectorTest, StuckAtThatChangesNothingIsMasked) {
   plan_.fault_registers = {Reg::R0};
   Injector injector(plan_, 5, clock_);
   arch::EntryFrame frame = frame_on_cpu(0);
-  frame.bank.set(Reg::R0, 0);  // already stuck
+  frame.writer().set(Reg::R0, 0);  // already stuck
   injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
   ASSERT_EQ(injector.injections(), 1u);
   EXPECT_EQ(frame.injected, 0u);
@@ -238,6 +243,77 @@ TEST_F(InjectorTest, NoInjectionIsNotMasked) {
   injector.on_entry(jh::HookPoint::ArchHandleTrap, frame);
   EXPECT_EQ(injector.injections(), 0u);
   EXPECT_FALSE(injector.masked());
+}
+
+// --- golden mode and the dead verdict ----------------------------------------
+
+TEST_F(InjectorTest, GoldenModeCountsButNeverInjects) {
+  plan_.rate = 3;
+  util::TouchLog touches;
+  Injector counter(plan_, 1, clock_);
+  counter.set_golden(&touches);
+  const std::uint64_t key = util::TouchLog::page_key(5);
+  for (int call = 1; call <= 10; ++call) {
+    clock_.advance(util::Ticks{1});
+    arch::EntryFrame frame = frame_on_cpu(0);
+    const arch::RegisterBank before = frame.writer().bank();
+    counter.on_entry(jh::HookPoint::ArchHandleTrap, frame);
+    EXPECT_EQ(frame.writer().bank().r, before.r);  // the frame is untouched
+    EXPECT_EQ(frame.injected, 0u);
+    if (call == 4) touches.note(key);  // inside interval 0 (calls 3..5)
+  }
+  EXPECT_EQ(counter.filtered_calls(), 10u);
+  EXPECT_EQ(counter.injections(), 0u);
+  // Calls 3, 6 and 9 would have injected, at ticks 3, 6 and 9.
+  EXPECT_EQ(counter.golden_ticks(), (std::vector<std::uint64_t>{3, 6, 9}));
+  EXPECT_TRUE(touches.touched_since(key, 0));
+  EXPECT_FALSE(touches.touched_since(key, 1));
+}
+
+// The touch log's interval opens at the hook call itself: a golden read
+// of the faulted page later in the same handler, before any tick
+// boundary, already counts against the injection.
+TEST(InjectorGolden, GoldenReadOfTheFaultedPageAfterTheInjectingCallMakesTheRunLive) {
+  Testbed testbed;
+  ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
+  testbed.boot_freertos_cell();
+  jh::Hypervisor& hv = testbed.hypervisor();
+  TestPlan plan;
+  plan.target = jh::HookPoint::ArchHandleHvc;
+  plan.cpu_filter = -1;
+  plan.rate = 1;
+  plan.phase = 1;
+  plan.fault_domain = FaultDomain::Dram;
+  const auto hypercall = [&hv] {
+    (void)hv.guest_hypercall(
+        0, static_cast<std::uint32_t>(jh::Hypercall::HypervisorGetInfo));
+  };
+  testbed.capture_snapshot("point");
+
+  Injector faulted(plan, 9, testbed.board().clock());
+  faulted.attach(hv);
+  hypercall();
+  ASSERT_EQ(faulted.injections(), 1u);
+  const FaultRecord flip = faulted.records()[0].flips[0];
+  ASSERT_EQ(flip.changed, kChangedDramPage);
+
+  const auto golden_run = [&](bool read_page) {
+    EXPECT_TRUE(testbed.restore_snapshot());
+    util::TouchLog touches;
+    Injector counter(plan, 0, testbed.board().clock());
+    counter.set_golden(&touches);
+    counter.attach(hv);
+    testbed.track_touches(&touches);
+    hypercall();  // the call the faulted run injected at
+    if (read_page) (void)testbed.board().dram().read_u32(flip.addr & ~std::uint64_t{3});
+    testbed.track_touches(nullptr);
+    counter.detach(hv);
+    EXPECT_EQ(counter.injections(), 0u);
+    EXPECT_EQ(counter.golden_ticks().size(), 1u);
+    return touches;
+  };
+  EXPECT_TRUE(faulted.dead(golden_run(false)));
+  EXPECT_FALSE(faulted.dead(golden_run(true)));
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ TEST_F(MonitorTest, PanicClassifiesPanicPark) {
   boot_and_begin();
   arch::EntryFrame frame = testbed_.board().cpu(0).make_trap_frame(
       arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
-  frame.bank.set(arch::Reg::R0, 0xDEAD);
+  frame.writer().set(arch::Reg::R0, 0xDEAD);
   (void)testbed_.hypervisor().arch_handle_trap(frame);
   const RunResult result = monitor_.finish(testbed_);
   EXPECT_EQ(result.outcome, Outcome::PanicPark);
@@ -102,7 +102,7 @@ TEST_F(MonitorTest, ShutdownProbeFailsAfterPanic) {
   boot_and_begin();
   arch::EntryFrame frame = testbed_.board().cpu(0).make_trap_frame(
       arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
-  frame.bank.set(arch::Reg::SP, 0);
+  frame.writer().set(arch::Reg::SP, 0);
   (void)testbed_.hypervisor().arch_handle_trap(frame);
   EXPECT_FALSE(probe_shutdown_reclaims(testbed_));
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <string_view>
+
 #include "hypervisor/ivshmem.hpp"
 #include "platform/board_registry.hpp"
 
@@ -223,6 +228,145 @@ TEST(TestbedReset, RunArenaIsRunScoped) {
   EXPECT_GT(testbed.run_arena().bytes_in_use(), 0u);
   testbed.reset();
   EXPECT_EQ(testbed.run_arena().bytes_in_use(), 0u);
+}
+
+// --- golden-suffix ladder ----------------------------------------------------
+
+/// A printable fingerprint of everything a run can observe or a later
+/// tick can depend on: time, both consoles byte for byte, the event log,
+/// root records, GPIO, hypervisor counters and cells, CPU state, every
+/// GIC line, the timers, guest progress and the dirty DRAM contents.
+std::string fingerprint(Testbed& testbed) {
+  std::ostringstream out;
+  platform::Board& board = testbed.board();
+  out << "tick " << board.now().value << "\nuart0 " << board.uart0().captured()
+      << "\nuart1 " << board.uart1().captured() << "\n";
+  for (const util::LogRecord& record : board.log().records()) {
+    out << "log " << record.timestamp.value << ' ' << record.component << ' '
+        << record.message << "\n";
+  }
+  for (const guest::MgmtRecord& record : testbed.linux_root().records()) {
+    out << "root " << static_cast<int>(record.op) << ' ' << record.arg << ' '
+        << record.result << ' ' << record.tick << "\n";
+  }
+  out << "led " << board.gpio().led_toggles() << "\n";
+  const jh::Counters& counters = testbed.hypervisor().counters();
+  out << "hv " << counters.traps << ' ' << counters.hvcs << ' ' << counters.irqs
+      << ' ' << counters.panics << "\n";
+  for (jh::Cell* cell : testbed.hypervisor().cells()) {
+    out << "cell " << cell->id() << ' ' << static_cast<int>(cell->state()) << ' '
+        << cell->console_bytes << "\n";
+  }
+  for (int cpu = 0; cpu < board.num_cpus(); ++cpu) {
+    const arch::Cpu& core = board.cpu(cpu);
+    out << "cpu " << cpu << ' ' << static_cast<int>(core.power_state());
+    for (const arch::Word word : core.regs().r) out << ' ' << word;
+    const std::uint64_t stride = static_cast<std::uint64_t>(cpu) * platform::kTimerStride;
+    out << " timer " << board.timer().mmio_read(stride + platform::kTimerCtl).value() << ' '
+        << board.timer().mmio_read(stride + platform::kTimerInterval).value() << ' '
+        << board.timer().mmio_read(stride + platform::kTimerCount).value() << "\n";
+  }
+  const irq::Gic& gic = board.gic();
+  for (irq::IrqId irq = 0; irq < irq::kNumIrqs; ++irq) {
+    out << "irq " << irq << ' ' << gic.is_enabled(irq) << ' ' << int{gic.priority(irq)}
+        << ' ' << gic.target(irq) << ' ' << gic.delivered(irq);
+    for (int cpu = 0; cpu < gic.num_cpus(); ++cpu) {
+      out << ' ' << gic.is_pending(irq, cpu) << gic.is_active(irq, cpu);
+    }
+    out << "\n";
+  }
+  out << "freertos " << testbed.freertos().blink_count() << ' '
+      << testbed.freertos().kernel().ticks() << "\n";
+  util::Arena arena;
+  mem::PhysicalMemory::Snapshot pages;
+  board.dram().snapshot_to(pages, arena);
+  for (const auto& page : pages.pages) {
+    out << "page " << page.index << ' '
+        << std::hash<std::string_view>{}(std::string_view(
+               reinterpret_cast<const char*>(page.data), mem::kPageSize))
+        << "\n";
+  }
+  return out.str();
+}
+
+// A rung restored into a run that is behind it on the golden trajectory
+// gives the golden run's state at the rung's tick — including the bytes,
+// log records and root records it appended after the point — and the
+// same future.
+TEST(TestbedLadder, RestoredRungEqualsTheGoldenStateAtItsTick) {
+  Testbed testbed;
+  ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
+  testbed.boot_freertos_cell();
+  testbed.run(100);
+  RunPoint point;
+  point.filtered_calls = 3;
+  testbed.capture_snapshot("ladder", point);
+
+  // The golden run: some ticks, a log record and a root record of its
+  // own, then a rung; then more ticks and a second rung.
+  testbed.run(300);
+  testbed.board().log().log(testbed.board().now(), util::Severity::Info, "test", -1,
+                            "golden marker");
+  testbed.linux_root().enqueue({jh::Hypercall::CellGetState, testbed.workload_cell_id()});
+  testbed.run(200);
+  RunPoint first = point;
+  first.filtered_calls = 7;
+  ASSERT_TRUE(testbed.capture_rung(first));
+  const std::string at_first = fingerprint(testbed);
+  // The rung sits past appended state of every kind.
+  ASSERT_NE(at_first.find("golden marker"), std::string::npos);
+  ASSERT_EQ(testbed.linux_root().records().size(),
+            testbed.snapshot().linux_root.record_count + 1);
+  ASSERT_GT(testbed.board().uart0().total_bytes(),
+            testbed.snapshot().board.uart0.captured_size);
+  ASSERT_GT(testbed.board().uart1().total_bytes(),
+            testbed.snapshot().board.uart1.captured_size);
+  testbed.run(400);
+  const std::string after_first = fingerprint(testbed);
+  RunPoint second = point;
+  second.filtered_calls = 11;
+  ASSERT_TRUE(testbed.capture_rung(second));
+  testbed.run(2'000);
+  ASSERT_EQ(testbed.rungs(), 2u);
+  EXPECT_EQ(testbed.rung_point(0).filtered_calls, 7u);
+  EXPECT_EQ(testbed.rung_point(1).filtered_calls, 11u);
+
+  // A run from the point, a little behind the first rung, jumps to it.
+  ASSERT_TRUE(testbed.restore_snapshot());
+  testbed.run(50);
+  ASSERT_NE(fingerprint(testbed), at_first);
+  testbed.restore_rung(0);
+  EXPECT_EQ(fingerprint(testbed), at_first);
+  testbed.run(400);
+  EXPECT_EQ(fingerprint(testbed), after_first);
+  // From the first rung's tick straight on to the second (and back to
+  // the point, which the rungs leave intact).
+  testbed.restore_rung(1);
+  EXPECT_EQ(fingerprint(testbed), after_first);
+  ASSERT_TRUE(testbed.restore_snapshot());
+  testbed.restore_rung(0);
+  EXPECT_EQ(fingerprint(testbed), at_first);
+}
+
+TEST(TestbedLadder, RungsNeedAPointAndStopAtTheLadderLength) {
+  Testbed testbed;
+  ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
+  testbed.boot_freertos_cell();
+  EXPECT_FALSE(testbed.capture_rung(RunPoint{}));  // no point held
+  testbed.capture_snapshot("ladder");
+  for (std::size_t i = 0; i < kLadderRungs; ++i) {
+    testbed.run(10);
+    EXPECT_TRUE(testbed.capture_rung(RunPoint{}));
+  }
+  EXPECT_FALSE(testbed.capture_rung(RunPoint{}));
+  EXPECT_EQ(testbed.rungs(), kLadderRungs);
+
+  // A guest table that grew since the point cannot be rewound into a run
+  // still behind it: no rung.
+  testbed.capture_snapshot("grown");
+  (void)testbed.freertos().kernel().create_queue(4);
+  EXPECT_FALSE(testbed.capture_rung(RunPoint{}));
+  EXPECT_EQ(testbed.rungs(), 0u);
 }
 
 }  // namespace

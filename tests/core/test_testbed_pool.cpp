@@ -204,6 +204,50 @@ TEST(TestbedPool, MidWindowRewindPointRestorePerformsZeroHeapAllocations) {
          "must not touch the heap";
 }
 
+// The ladder's half: a run jumping to a golden-suffix rung (the rung
+// restore, then the rest of the window) is allocation-free once the slot
+// has made that jump once.
+TEST(TestbedPool, LadderRungRestorePerformsZeroHeapAllocations) {
+  TestbedPool pool;
+  const TestbedLease lease = pool.acquire("bananapi", "", bananapi_entry());
+  Testbed* testbed = lease.get();
+  const Scenario* scenario = find_scenario("freertos-steady");
+  ASSERT_NE(scenario, nullptr);
+  const std::uint64_t window_ticks = scenario->make_plan().duration_ticks;
+
+  testbed->reset();
+  ASSERT_TRUE(scenario->setup(*testbed).is_ok());
+  scenario->boot(*testbed);
+  const util::Ticks close = testbed->board().now() + util::Ticks{window_ticks};
+  testbed->run(window_ticks / 2);
+  RunPoint point;
+  point.window_close = close.value;
+  testbed->capture_snapshot("ladder-pin", point);
+  testbed->run(window_ticks / 4);  // the golden suffix: a rung, then the close
+  ASSERT_TRUE(testbed->capture_rung(point));
+  testbed->run_until(close);
+  const auto jump = [testbed, close] {
+    testbed->restore_rung(0);
+    testbed->run_until(close);
+  };
+  ASSERT_TRUE(testbed->restore_snapshot());
+  testbed->run(100);
+  jump();  // first jump: buffers reach steady size
+
+  ASSERT_TRUE(testbed->restore_snapshot());
+  testbed->run(100);
+  std::uint64_t allocations = 0;
+  {
+    const util::AllocationObserver::Window window;
+    jump();
+    allocations = window.allocations();
+  }
+  EXPECT_EQ(testbed->board().now().value, close.value);
+  EXPECT_EQ(allocations, 0u)
+      << "restoring a ladder rung and finishing the window must not touch "
+         "the heap";
+}
+
 // Executor-level reuse: across two pooled campaigns on the same key,
 // slot construction is bounded by the worker count — never by the run
 // or campaign count — and everything beyond those constructions is

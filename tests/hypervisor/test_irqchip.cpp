@@ -88,7 +88,7 @@ TEST_F(IrqchipTest, PanickedHypervisorTakesNoInterrupts) {
   (void)board_.gic().raise_ppi(0, platform::kVirtualTimerPpi);
   arch::EntryFrame bad = board_.cpu(0).make_trap_frame(
       arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
-  bad.bank.set(Reg::R0, 0xBAD);
+  bad.writer().set(Reg::R0, 0xBAD);
   (void)hv_.arch_handle_trap(bad);
   EXPECT_FALSE(hv_.irqchip_handle_irq(0).has_value());
 }
@@ -99,7 +99,7 @@ TEST_F(IrqchipTest, CorruptedVectorOutOfRangeIsSpuriousError) {
   (void)board_.gic().raise_ppi(0, platform::kVirtualTimerPpi);
   hv_.set_entry_hook([](HookPoint point, arch::EntryFrame& frame) {
     if (point == HookPoint::IrqchipHandleIrq) {
-      frame.bank.set(Reg::R0, frame.bank[Reg::R0] | 0x8000);  // huge vector
+      frame.writer().set(Reg::R0, frame.writer().get(Reg::R0) | 0x8000);  // huge vector
     }
   });
   const auto delivery = hv_.irqchip_handle_irq(0);
@@ -117,7 +117,7 @@ TEST_F(IrqchipTest, CorruptedVectorToUnownedLineDropsPredictably) {
   (void)board_.gic().raise_ppi(1, platform::kVirtualTimerPpi);
   hv_.set_entry_hook([](HookPoint point, arch::EntryFrame& frame) {
     if (point == HookPoint::IrqchipHandleIrq) {
-      frame.bank.set(Reg::R0, platform::kUart0Irq);  // a line the cell lacks
+      frame.writer().set(Reg::R0, platform::kUart0Irq);  // a line the cell lacks
     }
   });
   const auto delivery = hv_.irqchip_handle_irq(1);
@@ -129,7 +129,7 @@ TEST_F(IrqchipTest, CorruptedVectorToUnownedLineDropsPredictably) {
 TEST_F(IrqchipTest, CorruptedVectorToAnotherPpiStillDelivers) {
   (void)board_.gic().raise_ppi(0, platform::kVirtualTimerPpi);
   hv_.set_entry_hook([](HookPoint point, arch::EntryFrame& frame) {
-    if (point == HookPoint::IrqchipHandleIrq) frame.bank.set(Reg::R0, 29);
+    if (point == HookPoint::IrqchipHandleIrq) frame.writer().set(Reg::R0, 29);
   });
   const auto delivery = hv_.irqchip_handle_irq(0);
   ASSERT_TRUE(delivery.has_value());

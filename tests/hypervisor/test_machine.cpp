@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/testbed.hpp"
+
 #include "guests/freertos_image.hpp"
 #include "hypervisor/hypervisor.hpp"
 
@@ -80,7 +85,7 @@ TEST_F(MachineTest, PanicFreezesAllGuests) {
   machine_.run_ticks(5);
   arch::EntryFrame bad = board_.cpu(0).make_trap_frame(
       arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
-  bad.bank.set(arch::Reg::R0, 0x1);
+  bad.writer().set(arch::Reg::R0, 0x1);
   (void)hv_.arch_handle_trap(bad);
   const int quanta_before = guest.quanta;
   machine_.run_ticks(50);
@@ -147,6 +152,54 @@ TEST_F(MachineTest, IrqDeliveryCappedPerTick) {
 
 TEST_F(MachineTest, GuestForUnknownCellIsNull) {
   EXPECT_EQ(machine_.guest_for(42), nullptr);
+}
+
+// Machine::run_tick's panic invariant, pinned where it lives: after the
+// hypervisor panics, ticks still run the devices (the timers keep raising
+// their PPIs), but nothing RunMonitor::finish() or
+// probe_shutdown_reclaims() reads changes. The executor's panic stop
+// skips the rest of a window on the strength of this.
+TEST(MachinePanic, DeviceTicksChangeNothingTheClassifierReads) {
+  fi::Testbed testbed;
+  ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
+  testbed.boot_freertos_cell();
+  testbed.run(600);  // the root polls, FreeRTOS prints and blinks
+  Hypervisor& hv = testbed.hypervisor();
+  platform::Board& board = testbed.board();
+  arch::EntryFrame bad =
+      board.cpu(1).make_trap_frame(arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
+  bad.writer().set(arch::Reg::R0, 0x1);  // wild trap-context pointer
+  (void)hv.arch_handle_trap(bad);
+  ASSERT_TRUE(hv.is_panicked());
+
+  const auto classifier_inputs = [&] {
+    std::ostringstream out;
+    out << board.uart1().captured() << '|' << board.gpio().led_toggles() << '|';
+    const Counters& c = hv.counters();
+    out << c.traps << ' ' << c.hvcs << ' ' << c.irqs << ' ' << c.mmio_emulations << ' '
+        << c.unhandled_traps << ' ' << c.cpu_parks << ' ' << c.panics << ' '
+        << c.hypercall_errors << ' ' << hv.panic_reason() << '|';
+    for (const Hypercall op : {Hypercall::CellCreate, Hypercall::CellStart,
+                               Hypercall::CellShutdown, Hypercall::CellDestroy}) {
+      out << testbed.linux_root().last_result(op) << ' ';
+    }
+    out << testbed.linux_root().records().size() << '|' << board.log().size() << '|';
+    for (Cell* cell : hv.cells()) {
+      out << cell->id() << ':' << static_cast<int>(cell->state()) << ':'
+          << cell->console_bytes << ' ';
+    }
+    for (int cpu = 0; cpu < board.num_cpus(); ++cpu) {
+      out << '|' << static_cast<int>(board.cpu(cpu).power_state()) << ' '
+          << board.cpu(cpu).halt_reason() << ' ' << hv.cpu_owner(cpu);
+    }
+    return out.str();
+  };
+  const std::string before = classifier_inputs();
+  const std::uint64_t tick_before = board.now().value;
+  for (int tick = 0; tick < 500; ++tick) testbed.machine().run_tick();
+  EXPECT_EQ(board.now().value, tick_before + 500);
+  EXPECT_TRUE(board.gic().any_pending(1));  // device ticks did run
+  EXPECT_EQ(classifier_inputs(), before);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@ class TrapTest : public ::testing::Test {
   arch::EntryFrame frame_for(int cpu, Syndrome hsr, std::uint32_t r2 = 0,
                              std::uint32_t r3 = 0) {
     arch::EntryFrame frame = board_.cpu(cpu).make_trap_frame(hsr);
-    frame.bank.set(Reg::R2, r2);
-    frame.bank.set(Reg::R3, r3);
+    frame.writer().set(Reg::R2, r2);
+    frame.writer().set(Reg::R3, r3);
     return frame;
   }
 
@@ -49,7 +49,7 @@ TEST_F(TrapTest, WfxAndSmcResumeQuietly) {
 
 TEST_F(TrapTest, CorruptedContextPointerPanics) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::R0, 0x1234'5678);  // wild pointer
+  frame.writer().set(Reg::R0, 0x1234'5678);  // wild pointer
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
   EXPECT_TRUE(hv_.is_panicked());
   EXPECT_NE(hv_.panic_reason().find("wild trap-context"), std::string::npos);
@@ -60,40 +60,40 @@ TEST_F(TrapTest, CorruptedContextPointerPanics) {
 
 TEST_F(TrapTest, SkewedContextPointerAlsoPanics) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::R0, frame.bank[Reg::R0] ^ 0x8);  // stays in-window
+  frame.writer().set(Reg::R0, frame.writer().get(Reg::R0) ^ 0x8);  // stays in-window
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
   EXPECT_NE(hv_.panic_reason().find("skewed trap-context"), std::string::npos);
 }
 
 TEST_F(TrapTest, CorruptedPerCpuPointerPanics) {
   arch::EntryFrame frame = frame_for(1, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::R12, util::flip_bit(frame.bank[Reg::R12], 17u));
+  frame.writer().set(Reg::R12, util::flip_bit(frame.writer().get(Reg::R12), 17u));
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
   EXPECT_NE(hv_.panic_reason().find("per-CPU"), std::string::npos);
 }
 
 TEST_F(TrapTest, CorruptedStackPointerPanics) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::SP, util::flip_bit(frame.bank[Reg::SP], 3u));
+  frame.writer().set(Reg::SP, util::flip_bit(frame.writer().get(Reg::SP), 3u));
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
 }
 
 TEST_F(TrapTest, CorruptedLinkRegisterPanics) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::LR, util::flip_bit(frame.bank[Reg::LR], 30u));
+  frame.writer().set(Reg::LR, util::flip_bit(frame.writer().get(Reg::LR), 30u));
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
 }
 
 TEST_F(TrapTest, CorruptedPcPanics) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::PC, util::flip_bit(frame.bank[Reg::PC], 5u));
+  frame.writer().set(Reg::PC, util::flip_bit(frame.writer().get(Reg::PC), 5u));
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::Panicked);
 }
 
 TEST_F(TrapTest, UnknownExceptionClassParksCpuOnly) {
   arch::EntryFrame frame = frame_for(1, Syndrome::make(ExceptionClass::Hvc, 0));
   // Manufacture a non-architected EC (0x3F).
-  frame.bank.set(Reg::R1, util::deposit_bits(0u, arch::kEcHi, arch::kEcLo, 0x3Fu));
+  frame.writer().set(Reg::R1, util::deposit_bits(0u, arch::kEcHi, arch::kEcLo, 0x3Fu));
   EXPECT_EQ(hv_.arch_handle_trap(frame).action, TrapAction::CpuParked);
   EXPECT_TRUE(board_.cpu(1).is_parked());
   EXPECT_FALSE(hv_.is_panicked());
@@ -134,7 +134,7 @@ TEST_F(TrapTest, DeadRegistersAreHarmless) {
     arch::EntryFrame frame =
         frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0),
                   static_cast<std::uint32_t>(Hypercall::HypervisorGetInfo));
-    frame.bank.set(reg, 0xFFFF'FFFF);
+    frame.writer().set(reg, 0xFFFF'FFFF);
     const TrapOutcome outcome = hv_.arch_handle_trap(frame);
     EXPECT_EQ(outcome.action, TrapAction::Resume) << reg_name(reg);
     EXPECT_EQ(outcome.hvc_result, 1) << reg_name(reg);
@@ -144,7 +144,7 @@ TEST_F(TrapTest, DeadRegistersAreHarmless) {
 
 TEST_F(TrapTest, PanicFreezesFurtherTraps) {
   arch::EntryFrame bad = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  bad.bank.set(Reg::R0, 0);
+  bad.writer().set(Reg::R0, 0);
   (void)hv_.arch_handle_trap(bad);
   ASSERT_TRUE(hv_.is_panicked());
   arch::EntryFrame clean =
@@ -157,7 +157,7 @@ TEST_F(TrapTest, PanicFreezesFurtherTraps) {
 
 TEST_F(TrapTest, PanicWritesLastWordsToUart0) {
   arch::EntryFrame frame = frame_for(0, Syndrome::make(ExceptionClass::Hvc, 0));
-  frame.bank.set(Reg::R0, 0xBAD);
+  frame.writer().set(Reg::R0, 0xBAD);
   (void)hv_.arch_handle_trap(frame);
   EXPECT_NE(board_.uart0().captured().find("panic"), std::string::npos);
 }

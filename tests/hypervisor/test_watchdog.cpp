@@ -133,7 +133,7 @@ TEST_F(WatchdogTest, SilentAfterPanic) {
   testbed_.boot_freertos_cell();
   arch::EntryFrame frame = testbed_.board().cpu(0).make_trap_frame(
       arch::Syndrome::make(arch::ExceptionClass::Hvc, 0));
-  frame.bank.set(arch::Reg::R0, 0xBAD);
+  frame.writer().set(arch::Reg::R0, 0xBAD);
   (void)testbed_.hypervisor().arch_handle_trap(frame);
   testbed_.run(500);
   // A panicked system has nothing to remediate; no false alarms either.

@@ -1,16 +1,19 @@
-// Decided runs: a restored run stops at the tick of its plan's first
-// injecting call when its result is already known there.
+// Decided runs in the register domain: a restored run stops at each
+// injecting tick its point's golden suffix saw, when its result is
+// already known there.
 //
 //   * masked — its injections changed only entry-frame registers no
-//     handler read, so it takes the result the point's first masked run
-//     computed (plus its own injection fields);
+//     handler read, so it is on the golden trajectory: at its last
+//     injecting call in the window it takes the golden result (plus its
+//     own injection fields), before that it jumps to the next ladder rung;
 //   * panicked — nothing executes on a panicked machine, so the rest of
 //     the window is skipped.
 //
 // Both shortcuts must be invisible: every campaign here is compared with
 // the reset-per-run oracle (or fresh construction), which always runs
 // whole windows. The per-register sweep also pins which registers each
-// entry point reads, since the masked verdict rests on those reads.
+// entry point reads, since the masked verdict rests on those reads. The
+// other domains' verdicts are in test_decided_domains.cpp.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,75 +21,20 @@
 #include <string>
 #include <vector>
 
-#include "core/executor.hpp"
 #include "core/injector.hpp"
-#include "core/testbed_pool.hpp"
+#include "decided_runs_support.hpp"
 #include "util/rng.hpp"
 
 namespace mcs::fi {
 namespace {
 
 using arch::Reg;
-
-struct Capture {
-  CampaignResult result;
-  std::string log;
-};
-
-enum class Mode { Fresh, ResetPerRun, Snapshot };
-
-Capture run_campaign(const TestPlan& plan, Mode mode, bool probe_recovery = true) {
-  ExecutorConfig config;
-  config.threads = 1;  // one slot: the shortcut counts are deterministic
-  config.probe_recovery = probe_recovery;
-  config.reuse_testbeds = mode != Mode::Fresh;
-  config.use_snapshots = mode == Mode::Snapshot;
-  CampaignExecutor executor(plan, config);
-  Capture out;
-  executor.set_progress([&out](std::uint32_t index, const RunResult& run) {
-    out.log += run_log_line(index, run) + "\n";
-  });
-  out.result = executor.execute();
-  return out;
-}
-
-void expect_identical(const Capture& want, const Capture& got,
-                      const std::string& label) {
-  EXPECT_EQ(want.log, got.log) << label;
-  ASSERT_EQ(want.result.runs.size(), got.result.runs.size()) << label;
-  for (std::size_t i = 0; i < want.result.runs.size(); ++i) {
-    const RunResult& x = want.result.runs[i];
-    const RunResult& y = got.result.runs[i];
-    const std::string at = label + ", run " + std::to_string(i);
-    EXPECT_EQ(x.outcome, y.outcome) << at;
-    EXPECT_EQ(x.detail, y.detail) << at;
-    EXPECT_EQ(x.fault_domain, y.fault_domain) << at;
-    EXPECT_EQ(x.injections, y.injections) << at;
-    EXPECT_EQ(x.flipped_bits, y.flipped_bits) << at;
-    EXPECT_EQ(x.first_injection_tick, y.first_injection_tick) << at;
-    EXPECT_EQ(x.failure_tick, y.failure_tick) << at;
-    EXPECT_EQ(x.uart1_bytes, y.uart1_bytes) << at;
-    EXPECT_EQ(x.led_toggles, y.led_toggles) << at;
-    EXPECT_EQ(x.traps, y.traps) << at;
-    EXPECT_EQ(x.hvcs, y.hvcs) << at;
-    EXPECT_EQ(x.irqs, y.irqs) << at;
-    EXPECT_EQ(x.create_result, y.create_result) << at;
-    EXPECT_EQ(x.start_result, y.start_result) << at;
-    EXPECT_EQ(x.cell_exists, y.cell_exists) << at;
-    EXPECT_EQ(x.shutdown_reclaimed, y.shutdown_reclaimed) << at;
-  }
-}
-
-struct Shortcuts {
-  std::uint64_t masked_reuses = 0;
-  std::uint64_t panic_stops = 0;
-};
-
-Shortcuts shortcuts_since(const TestbedPool::Stats& before) {
-  const TestbedPool::Stats after = TestbedPool::instance().stats();
-  return {after.masked_reuses - before.masked_reuses,
-          after.panic_stops - before.panic_stops};
-}
+using decided::Capture;
+using decided::expect_identical;
+using decided::Mode;
+using decided::run_campaign;
+using decided::Shortcuts;
+using decided::shortcuts_since;
 
 // --- per-register sweep ------------------------------------------------------
 
@@ -174,28 +122,30 @@ TEST(DecidedRuns, EveryRegisterAtArchHandleTrapMatchesTheOracle) {
         if (reg >= Reg::R1 && reg <= Reg::R3) return std::nullopt;
         return false;
       });
-  EXPECT_GT(taken.masked_reuses, 0u);
+  EXPECT_GT(taken.golden_results, 0u);
   EXPECT_GT(taken.panic_stops, 0u);
 }
 
 TEST(DecidedRuns, EveryRegisterAtArchHandleHvcMatchesTheOracle) {
   const Shortcuts taken = sweep_registers(jh::HookPoint::ArchHandleHvc, nullptr);
-  EXPECT_GT(taken.masked_reuses, 0u);
+  EXPECT_GT(taken.golden_results, 0u);
   EXPECT_GT(taken.panic_stops, 0u);
 }
 
 TEST(DecidedRuns, EveryRegisterAtIrqchipHandleIrqMatchesTheOracle) {
   // The IRQ handler reads only the vector in r0. Timer interrupts enter
-  // it about once a tick, so at the medium rate every run injects again
-  // inside the window and no masked verdict decides a run early; with
-  // the rate past the window each run injects once and the cache serves.
+  // it about once a tick, so at the medium rate every run injects about
+  // twenty times inside the window, more than the ladder has rungs, and
+  // no run reaches the golden result; with the rate past the window
+  // each run injects once and the golden result serves.
   const Pattern pattern = [](Reg reg) -> std::optional<bool> {
     return reg != Reg::R0;
   };
-  EXPECT_EQ(sweep_registers(jh::HookPoint::IrqchipHandleIrq, pattern).masked_reuses,
-            0u);
+  const Shortcuts medium = sweep_registers(jh::HookPoint::IrqchipHandleIrq, pattern);
+  EXPECT_EQ(medium.golden_results, 0u);
+  EXPECT_GT(medium.ladder_restores, 0u);  // masked runs climb all the rungs
   EXPECT_GT(sweep_registers(jh::HookPoint::IrqchipHandleIrq, pattern, 100'000)
-                .masked_reuses,
+                .golden_results,
             0u);
 }
 
@@ -218,29 +168,36 @@ TEST(DecidedRuns, SteadyPlanTakesBothShortcuts) {
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   const Capture warm = run_campaign(plan, Mode::Snapshot);
   const Shortcuts taken = shortcuts_since(before);
-  EXPECT_GT(taken.masked_reuses, 0u);
+  EXPECT_GT(taken.golden_results, 0u);
   EXPECT_GT(taken.panic_stops, 0u);
   expect_identical(run_campaign(plan, Mode::Fresh), warm, "12-run steady plan");
 }
 
-TEST(DecidedRuns, SecondInjectionInsideTheWindowNeverReusesTheResult) {
+TEST(DecidedRuns, SecondInjectionInsideTheWindowClimbsTheLadder) {
   // Every call from the 4th injects into r7, which no handler reads: each
-  // run is masked, but its later injections fall inside the window, so a
-  // masked verdict at the first one decides nothing.
+  // run is masked at every injection, so it jumps from rung to rung until
+  // its last injecting call in the window, then takes the golden result.
   TestPlan plan = steady_plan();
   plan.rate = 1;
   plan.fault_registers = {Reg::R7};
   TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   const Capture warm = run_campaign(plan, Mode::Snapshot);
-  EXPECT_EQ(shortcuts_since(before).masked_reuses, 0u);
-  for (const RunResult& run : warm.result.runs) EXPECT_GT(run.injections, 1u);
+  const Shortcuts taken = shortcuts_since(before);
+  EXPECT_EQ(taken.golden_results, plan.runs);
+  std::uint64_t later_injections = 0;
+  for (const RunResult& run : warm.result.runs) {
+    EXPECT_GT(run.injections, 1u);
+    later_injections += run.injections - 1;
+  }
+  // One rung per later injection, learning run included.
+  EXPECT_EQ(taken.ladder_restores, later_injections);
   expect_identical(run_campaign(plan, Mode::Fresh), warm, "rate 1");
 }
 
 TEST(DecidedRuns, CachedResultSurvivesNeitherAnotherCaptureNorAProbeChange) {
   // Without a console the fault-free run classifies as a silent hang, so
-  // the recovery probe runs and its answer is part of the cached result.
+  // the recovery probe runs and its answer is part of the golden result.
   // Every run flips r7 (never read): all runs are masked.
   TestPlan plan = steady_plan();
   plan.fault_registers = {Reg::R7};
@@ -251,9 +208,9 @@ TEST(DecidedRuns, CachedResultSurvivesNeitherAnotherCaptureNorAProbeChange) {
   TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   const Capture first = run_campaign(plan, Mode::Snapshot);
-  EXPECT_GT(shortcuts_since(before).masked_reuses, 0u);
+  EXPECT_GT(shortcuts_since(before).golden_results, 0u);
   const Capture fresh = run_campaign(plan, Mode::Fresh);
-  expect_identical(fresh, first, "filling campaign");
+  expect_identical(fresh, first, "learning campaign");
   EXPECT_NE(fresh.log.find("shutdown_reclaimed=yes"), std::string::npos);
 
   // A capture under another rewind key on the same slot forgets the result.
@@ -273,23 +230,29 @@ TEST(DecidedRuns, CaptureAndResetForgetWhatThePointLearned) {
   ASSERT_TRUE(testbed.enable_hypervisor().is_ok());
   testbed.boot_freertos_cell();
   const auto learn = [&testbed] {
-    testbed.learned().first_injection_tick = 42;
-    testbed.learned().masked_result = RunResult{};
+    testbed.golden_suffix().valid = true;
+    testbed.golden_suffix().injecting_ticks = {42};
+    const RunPoint point = testbed.snapshot().point;
+    testbed.run(10);
+    ASSERT_TRUE(testbed.capture_rung(point));
   };
   testbed.capture_snapshot("point a");
   learn();
   ASSERT_TRUE(testbed.restore_snapshot());
-  EXPECT_EQ(testbed.learned().first_injection_tick, 42u);  // restores keep it
-  EXPECT_TRUE(testbed.learned().masked_result.has_value());
+  EXPECT_TRUE(testbed.golden_suffix().valid);  // restores keep it
+  EXPECT_EQ(testbed.golden_suffix().injecting_ticks.size(), 1u);
+  EXPECT_EQ(testbed.rungs(), 1u);
 
   testbed.capture_snapshot("point b");
-  EXPECT_EQ(testbed.learned().first_injection_tick, 0u);
-  EXPECT_FALSE(testbed.learned().masked_result.has_value());
+  EXPECT_FALSE(testbed.golden_suffix().valid);
+  EXPECT_TRUE(testbed.golden_suffix().injecting_ticks.empty());
+  EXPECT_EQ(testbed.rungs(), 0u);
 
   learn();
   testbed.reset();
-  EXPECT_EQ(testbed.learned().first_injection_tick, 0u);
-  EXPECT_FALSE(testbed.learned().masked_result.has_value());
+  EXPECT_FALSE(testbed.golden_suffix().valid);
+  EXPECT_TRUE(testbed.golden_suffix().injecting_ticks.empty());
+  EXPECT_EQ(testbed.rungs(), 0u);
 }
 
 }  // namespace

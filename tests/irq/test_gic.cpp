@@ -409,5 +409,50 @@ TEST(Gic, AnyPendingTracksThePendingBitmap) {
   EXPECT_FALSE(gic.any_pending(1));  // acknowledged: active, no longer pending
 }
 
+// A golden suffix's touch log must see every read and write of the
+// fields a fault can change — enable, priority, target — and nothing of
+// the lines the machine leaves alone.
+TEST(Gic, TouchLogSeesLineFieldReadsAndWrites) {
+  using util::TouchLog;
+  using Field = TouchLog::GicField;
+  Gic gic(2);
+  TouchLog log;
+  gic.set_touch_log(&log);
+  log.begin_interval(0);
+  ASSERT_TRUE(gic.enable(40).is_ok());  // writes enable, reads priority
+  ASSERT_TRUE(gic.disable(41).is_ok());
+  (void)gic.is_enabled(42);
+  ASSERT_TRUE(gic.set_priority(43, 0x10).is_ok());
+  (void)gic.priority(44);
+  ASSERT_TRUE(gic.set_target(45, 1).is_ok());
+  (void)gic.target(46);
+  ASSERT_TRUE(gic.raise_spi(47).is_ok());  // routes by the target
+  gic.force_pending(0, 48);                // a pending bit is no field...
+  (void)gic.peek(0);                       // ...but peek reads 47's and 48's
+  const auto touched = [&log](IrqId irq, Field field) {
+    return log.touched_since(TouchLog::gic_key(irq, field), 0);
+  };
+  EXPECT_TRUE(touched(40, Field::Enable));
+  EXPECT_TRUE(touched(40, Field::Priority));
+  EXPECT_TRUE(touched(41, Field::Enable));
+  EXPECT_TRUE(touched(42, Field::Enable));
+  EXPECT_TRUE(touched(43, Field::Priority));
+  EXPECT_TRUE(touched(44, Field::Priority));
+  EXPECT_TRUE(touched(45, Field::Target));
+  EXPECT_TRUE(touched(46, Field::Target));
+  EXPECT_TRUE(touched(47, Field::Target));
+  EXPECT_TRUE(touched(47, Field::Enable));
+  EXPECT_TRUE(touched(48, Field::Priority));
+  EXPECT_FALSE(touched(48, Field::Target));
+  EXPECT_FALSE(touched(41, Field::Priority));
+  EXPECT_FALSE(touched(49, Field::Enable));
+  EXPECT_EQ(log.size(), 13u);
+  // set_enabled writes back a dead enable flip: no priority side effect.
+  gic.set_touch_log(nullptr);
+  gic.set_enabled(50, true);
+  EXPECT_TRUE(gic.is_enabled(50));
+  EXPECT_EQ(gic.priority(50), kIdlePriority);
+}
+
 }  // namespace
 }  // namespace mcs::irq

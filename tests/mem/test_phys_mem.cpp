@@ -175,5 +175,68 @@ TEST(PhysicalMemory, EmptySnapshotRestoresToAllZero) {
   EXPECT_EQ(dram.dirty_pages(), 0u);
 }
 
+// A golden suffix's touch log must see every page an access spans, on
+// every path: the inline word fast paths (holes included), first-touch
+// writes, byte and block accesses, fills. One page per path, so a path
+// that stops reporting fails on its own page.
+TEST(PhysicalMemory, TouchLogSeesEveryAccessPath) {
+  PhysicalMemory dram;
+  const auto page_addr = [](std::uint64_t page) { return kDramBase + page * kPageSize; };
+  // Make pages 2 and 3 resident and dirty before tracking starts, so the
+  // word writes below take the fast path.
+  ASSERT_TRUE(dram.write_u32(page_addr(2), 1).is_ok());
+  ASSERT_TRUE(dram.write_u32(page_addr(3), 1).is_ok());
+  util::TouchLog log;
+  dram.set_touch_log(&log);
+  log.note(util::TouchLog::page_key(2));  // before interval 0: dropped
+  log.begin_interval(0);
+  const std::uint64_t slow_before = dram.slow_ops();
+  EXPECT_TRUE(dram.read_u32(page_addr(0)).is_ok());       // fast read of a hole
+  EXPECT_TRUE(dram.read_u64(page_addr(1) + 8).is_ok());   // fast u64 read of a hole
+  EXPECT_TRUE(dram.write_u32(page_addr(2) + 4, 7).is_ok());  // fast write
+  EXPECT_TRUE(dram.write_u64(page_addr(3) + 8, 7).is_ok());  // fast u64 write
+  EXPECT_EQ(dram.slow_ops(), slow_before);  // all four took the fast path
+  EXPECT_TRUE(dram.write_u32(page_addr(4), 7).is_ok());   // first touch: slow
+  EXPECT_TRUE(dram.write_u8(page_addr(5), 7).is_ok());
+  EXPECT_TRUE(dram.read_u8(page_addr(6)).is_ok());
+  EXPECT_TRUE(dram.read_u32(page_addr(8) - 2).is_ok());   // crosses 7 → 8
+  std::vector<std::uint8_t> block(16, 1);
+  EXPECT_TRUE(dram.write_block(page_addr(9), block).is_ok());
+  EXPECT_TRUE(dram.fill(page_addr(10), 8, 3).is_ok());
+  dram.set_touch_log(nullptr);
+  EXPECT_TRUE(dram.read_u32(page_addr(11)).is_ok());      // not tracked any more
+  for (std::uint64_t page = 0; page <= 10; ++page) {
+    EXPECT_TRUE(log.touched_since(util::TouchLog::page_key(page), 0)) << page;
+  }
+  EXPECT_FALSE(log.touched_since(util::TouchLog::page_key(11), 0));
+  EXPECT_EQ(log.size(), 11u);
+}
+
+// A ladder rung is captured later than the state it is restored into, so
+// its pages can be clean there: restore must materialise and copy them.
+TEST(PhysicalMemory, RestoreFromALaterSnapshotBringsItsPagesBack) {
+  PhysicalMemory dram;
+  util::Arena arena;
+  ASSERT_TRUE(dram.write_u32(kDramBase, 0x11).is_ok());
+  PhysicalMemory::Snapshot earlier;
+  dram.snapshot_to(earlier, arena);
+  ASSERT_TRUE(dram.write_u32(kDramBase + 5 * kPageSize, 0x55).is_ok());
+  ASSERT_TRUE(dram.write_u32(kDramBase, 0x22).is_ok());
+  PhysicalMemory::Snapshot later;
+  dram.snapshot_to(later, arena);
+
+  dram.restore_from(earlier);
+  EXPECT_EQ(dram.dirty_pages(), 1u);
+  EXPECT_EQ(dram.read_u32(kDramBase + 5 * kPageSize).value(), 0u);
+  dram.restore_from(later);
+  EXPECT_EQ(dram.dirty_pages(), 2u);
+  EXPECT_EQ(dram.read_u32(kDramBase).value(), 0x22u);
+  EXPECT_EQ(dram.read_u32(kDramBase + 5 * kPageSize).value(), 0x55u);
+  // The dirty list holds each page once: a reset scrubs both.
+  dram.reset_contents();
+  EXPECT_EQ(dram.dirty_pages(), 0u);
+  EXPECT_EQ(dram.read_u32(kDramBase + 5 * kPageSize).value(), 0u);
+}
+
 }  // namespace
 }  // namespace mcs::mem
