@@ -11,9 +11,6 @@
 //   $ ./bench_overhead                  # google-benchmark suite
 //   $ ./bench_overhead --ticks-json     # machine-readable tick-throughput
 //                                       # comparison (CI trend lines)
-//   $ ./bench_overhead --executor-json  # machine-readable executor runs/sec:
-//                                       # fresh vs pooled vs snapshot at
-//                                       # 1/2/4/8 threads
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "core/executor.hpp"
-#include "core/testbed_pool.hpp"
 #include "platform/board_registry.hpp"
 
 namespace {
@@ -289,52 +285,18 @@ BENCHMARK(BM_TickSched_IrqHeavy_EventDriven);
 // Runs-per-second of a sharded campaign at 1/2/4/8 worker threads, so
 // scaling regressions show up run over run. The fixture is *between-run
 // overhead*: a minimal observation window keeps each run dominated by
-// exactly the work the executor adds per run — testbed provisioning
-// (pooled checkout/reset vs fresh construction), setup, boot and
-// classification. Window-throughput itself is the BM_TickSched benches'
-// job; --executor-json reports a window-heavy companion row so the
-// whole-campaign trend stays visible too.
+// exactly the work the executor adds per run — restoring the slot's
+// rewind point and classification. Window throughput is the BM_TickSched
+// benches' job, and the end-to-end number is perfbench's.
 
-fi::TestPlan executor_bench_plan(std::uint64_t duration_ticks) {
+void BM_ExecutorThroughput(benchmark::State& state) {
   fi::TestPlan plan =
       fi::find_scenario("freertos-steady")->make_plan(fi::paper_medium_trap_plan());
   plan.runs = 32;
-  plan.duration_ticks = duration_ticks;
+  plan.duration_ticks = 5;
   plan.phase = 2;
-  return plan;
-}
-
-/// The provisioning-dominated window the throughput fixture uses.
-constexpr std::uint64_t kProvisionWindowTicks = 5;
-/// The window-heavy companion shape (the pre-pooling fixture's window).
-constexpr std::uint64_t kWindowHeavyTicks = 500;
-
-/// Provisioning tiers the executor benches compare. Fresh builds a
-/// testbed per run; Pooled checks out a warm slot and resets + reboots
-/// per run; Snapshot restores the slot's rewind point per run.
-enum class ProvisionMode { Fresh, Pooled, Snapshot };
-
-const char* mode_name(ProvisionMode mode) {
-  switch (mode) {
-    case ProvisionMode::Fresh: return "fresh";
-    case ProvisionMode::Pooled: return "pooled";
-    default: return "snapshot";
-  }
-}
-
-fi::ExecutorConfig executor_bench_config(unsigned threads, ProvisionMode mode) {
-  fi::ExecutorConfig config;
-  config.threads = threads;
-  config.probe_recovery = false;
-  config.reuse_testbeds = mode != ProvisionMode::Fresh;
-  config.use_snapshots = mode == ProvisionMode::Snapshot;
-  return config;
-}
-
-void run_executor_campaigns(benchmark::State& state, ProvisionMode mode) {
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  fi::TestPlan plan = executor_bench_plan(kProvisionWindowTicks);
-  const fi::ExecutorConfig config = executor_bench_config(threads, mode);
+  const fi::ExecutorConfig config{.threads = static_cast<unsigned>(state.range(0)),
+                                  .probe_recovery = false};
   std::uint64_t campaign_index = 0;
   std::uint64_t runs_done = 0;
   for (auto _ : state) {
@@ -347,36 +309,7 @@ void run_executor_campaigns(benchmark::State& state, ProvisionMode mode) {
   state.counters["runs/s"] = benchmark::Counter(
       static_cast<double>(runs_done), benchmark::Counter::kIsRate);
 }
-
-/// Snapshot (default) mode: warm slots restored by bulk copy per run.
-void BM_ExecutorThroughput(benchmark::State& state) {
-  run_executor_campaigns(state, ProvisionMode::Snapshot);
-}
 BENCHMARK(BM_ExecutorThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// Reset + reboot per run: the tier snapshots are measured against.
-void BM_ExecutorThroughput_Pooled(benchmark::State& state) {
-  run_executor_campaigns(state, ProvisionMode::Pooled);
-}
-BENCHMARK(BM_ExecutorThroughput_Pooled)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// Build-per-run baseline the pool is measured against.
-void BM_ExecutorThroughput_Fresh(benchmark::State& state) {
-  run_executor_campaigns(state, ProvisionMode::Fresh);
-}
-BENCHMARK(BM_ExecutorThroughput_Fresh)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -459,145 +392,11 @@ int run_ticks_json() {
   return 0;
 }
 
-// --- machine-readable executor-throughput summary ----------------------------
-
-/// Seconds to execute `campaigns` back-to-back campaigns of the bench
-/// plan (best of `kReps` passes, so a noisy neighbour can only slow a
-/// measurement down, never speed it up). The pool is process-wide, so
-/// pooled campaigns after the first run entirely on warm slots — exactly
-/// the steady state a long sweep lives in.
-double time_executor(unsigned threads, ProvisionMode mode,
-                     std::uint64_t duration, std::uint64_t campaigns) {
-  constexpr int kReps = 3;
-  fi::TestPlan plan = executor_bench_plan(duration);
-  const fi::ExecutorConfig config = executor_bench_config(threads, mode);
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < campaigns; ++i) {
-      plan.seed = 0xC0FFEE + i;
-      fi::CampaignExecutor executor(plan, config);
-      benchmark::DoNotOptimize(executor.execute());
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(end - begin).count();
-    if (rep == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-/// `--executor-json`: BM_ExecutorThroughput's runs/sec at 1/2/4/8 worker
-/// threads — fresh, pooled and snapshot side by side — plus the
-/// pooled:fresh and snapshot:pooled speedups per thread count: the CI
-/// artifacts that trend testbed reuse and snapshot warm-start (and gate
-/// on each tier never being slower than the one below it). Two
-/// workloads, like --ticks-json: "provision-heavy" is the
-/// BM_ExecutorThroughput fixture (between-run overhead, where the
-/// warm-start tiers are the headline win); "window-heavy" keeps the
-/// whole-campaign trend honest (dominated by simulated machine time, so
-/// its ratios hover near 1). Snapshot rows carry the pool's restore /
-/// capture counters so a silent fall-back to reset + boot is visible in
-/// the artifact.
-int run_executor_json() {
-  struct Workload {
-    const char* name;
-    std::uint64_t duration;
-    std::uint64_t campaigns;
-  };
-  const std::vector<Workload> workloads = {
-      {"provision-heavy", kProvisionWindowTicks, 6},
-      {"window-heavy", kWindowHeavyTicks, 3},
-  };
-  const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
-
-  // One throwaway campaign per warm mode primes the pool so the warm
-  // numbers measure steady-state reuse, not first-touch construction.
-  for (const Workload& workload : workloads) {
-    (void)time_executor(8, ProvisionMode::Pooled, workload.duration, 1);
-    (void)time_executor(8, ProvisionMode::Snapshot, workload.duration, 1);
-  }
-
-  std::ostream& out = std::cout;
-  out << "{\n  \"executor_throughput\": [\n";
-  std::string pooled_speedups;
-  std::string snapshot_speedups;
-  for (std::size_t w = 0; w < workloads.size(); ++w) {
-    const Workload& workload = workloads[w];
-    const std::uint64_t runs =
-        executor_bench_plan(workload.duration).runs * workload.campaigns;
-    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-      const unsigned threads = thread_counts[i];
-      const double fresh = time_executor(threads, ProvisionMode::Fresh,
-                                         workload.duration, workload.campaigns);
-      const double pooled = time_executor(threads, ProvisionMode::Pooled,
-                                          workload.duration, workload.campaigns);
-      const auto before = fi::TestbedPool::instance().stats();
-      const double snapshot =
-          time_executor(threads, ProvisionMode::Snapshot, workload.duration,
-                        workload.campaigns);
-      const auto after = fi::TestbedPool::instance().stats();
-      const auto runs_per_sec = [&](double seconds) {
-        return seconds > 0 ? static_cast<double>(runs) / seconds : 0.0;
-      };
-      const auto emit_row = [&](const char* mode, double seconds, bool last) {
-        out << "    {\"workload\": \"" << workload.name << "\", \"threads\": "
-            << threads << ", \"mode\": \"" << mode << "\", \"runs\": " << runs
-            << ", \"seconds\": " << seconds << ", \"runs_per_sec\": "
-            << runs_per_sec(seconds);
-        if (std::strcmp(mode, "snapshot") == 0) {
-          // Guest-access fast-path attribution: a perf regression in the
-          // artifact is explainable without a rerun (TLB suddenly cold?
-          // accesses sliding off the direct-map path?).
-          const std::uint64_t tlb_hits = after.tlb_hits - before.tlb_hits;
-          const std::uint64_t tlb_misses = after.tlb_misses - before.tlb_misses;
-          const std::uint64_t fast_ops =
-              after.dram_fast_ops - before.dram_fast_ops;
-          const std::uint64_t slow_ops =
-              after.dram_slow_ops - before.dram_slow_ops;
-          const std::uint64_t translations = tlb_hits + tlb_misses;
-          out << ", \"restores\": " << after.run_restores - before.run_restores
-              << ", \"resets\": " << after.run_resets - before.run_resets
-              << ", \"captures\": " << after.captures - before.captures
-              << ", \"snapshot_bytes\": " << after.snapshot_bytes
-              << ", \"dirty_pages\": " << after.dirty_pages
-              << ", \"tlb_hits\": " << tlb_hits
-              << ", \"tlb_misses\": " << tlb_misses
-              << ", \"tlb_hit_rate\": "
-              << (translations > 0
-                      ? static_cast<double>(tlb_hits) / static_cast<double>(translations)
-                      : 0.0)
-              << ", \"dram_fast_ops\": " << fast_ops
-              << ", \"dram_slow_ops\": " << slow_ops;
-        }
-        out << "}" << (last ? "\n" : ",\n");
-      };
-      const bool last =
-          w + 1 == workloads.size() && i + 1 == thread_counts.size();
-      emit_row("fresh", fresh, false);
-      emit_row("pooled", pooled, false);
-      emit_row("snapshot", snapshot, last);
-      if (w == 0) {  // the gated/trended numbers are the fixture's
-        const std::string key =
-            std::string("\"t") + std::to_string(threads) + "\": ";
-        pooled_speedups += std::string(pooled_speedups.empty() ? "" : ", ") +
-                           key + std::to_string(pooled > 0 ? fresh / pooled : 0.0);
-        snapshot_speedups +=
-            std::string(snapshot_speedups.empty() ? "" : ", ") + key +
-            std::to_string(snapshot > 0 ? pooled / snapshot : 0.0);
-      }
-    }
-  }
-  out << "  ],\n  \"pooled_speedup\": {" << pooled_speedups
-      << "},\n  \"snapshot_speedup\": {" << snapshot_speedups << "}\n}\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--ticks-json") == 0) return run_ticks_json();
-    if (std::strcmp(argv[i], "--executor-json") == 0) return run_executor_json();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

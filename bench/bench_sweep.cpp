@@ -113,10 +113,11 @@ double time_distributed(unsigned workers, std::uint64_t expected_runs) {
   options.workers = workers;
   options.worker.poll = std::chrono::milliseconds(10);
 
-  // Fresh provisioning (no testbed reuse): every run pays the full
-  // boot, which is exactly the per-cell cost process fan-out divides.
+  // One executor thread per worker process, recovery probe off. Runs are
+  // provisioned like any sweep's: pooled slots restored to rewind points.
   const auto begin = std::chrono::steady_clock::now();
-  auto result = fi::run_distributed_sweep(spec, {1, false}, options);
+  auto result =
+      fi::run_distributed_sweep(spec, {.threads = 1, .probe_recovery = false}, options);
   const auto end = std::chrono::steady_clock::now();
   std::filesystem::remove_all(dir);
   if (!result.is_ok() ||

@@ -59,10 +59,6 @@ void usage(std::ostream& out) {
          "  --tuning TEXT         cell tuning, ';'-separated lines\n"
          "  --logdir DIR          persist per-cell run logs; enables resume\n"
          "  --threads N           executor threads per cell (default: auto)\n"
-         "  --no-snapshots        reset + reboot pooled testbeds per run\n"
-         "                        instead of restoring rewind points\n"
-         "  --no-parallel-resume  rebuild completed cells from their logs\n"
-         "                        one by one instead of on a thread pool\n"
          "distributed execution (multi-process cell leasing over --logdir):\n"
          "  --workers N           fork N worker processes over the logdir,\n"
          "                        wait, and render the merged report\n"
@@ -480,10 +476,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--threads" && (arg = value()) != nullptr) {
       if (!parse_number("threads", arg, number)) return 1;
       config.threads = static_cast<unsigned>(number);
-    } else if (flag == "--no-snapshots") {
-      config.use_snapshots = false;
-    } else if (flag == "--no-parallel-resume") {
-      config.parallel_resume = false;
     } else if (flag == "--workers" && (arg = value()) != nullptr) {
       if (!parse_number("workers", arg, number) || number == 0) {
         std::cerr << "sweep: --workers needs a count ≥ 1\n";

@@ -70,19 +70,6 @@ void Cpu::power_off() noexcept {
   entry_point_ = 0;
 }
 
-void Cpu::reset() noexcept {
-  regs_ = RegisterBank{};
-  cpsr_ = Cpsr{};
-  cpsr_.set_mode(Mode::Supervisor);
-  hsr_ = Syndrome{};
-  elr_hyp_ = 0;
-  spsr_hyp_ = Cpsr{};
-  trap_entries = 0;
-  hvc_entries = 0;
-  irq_entries = 0;
-  power_off();
-}
-
 EntryFrame Cpu::make_trap_frame(Syndrome hsr) const {
   EntryFrame frame;
   frame.cpu = id_;

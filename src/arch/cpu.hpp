@@ -179,18 +179,14 @@ class Cpu {
   /// PSCI-style CPU_OFF / cell destruction: any state → Off, state cleared.
   void power_off() noexcept;
 
-  /// Full power-on reset: registers cleared, SVC mode, state Off,
-  /// profiling counters zeroed — a reused core is indistinguishable from
-  /// a freshly constructed one.
-  void reset() noexcept;
-
   [[nodiscard]] const std::string& halt_reason() const noexcept { return halt_reason_; }
   [[nodiscard]] Word entry_point() const noexcept { return entry_point_; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Everything run-mutable on a core. Mirrors reset()'s coverage: a
-  /// restore_from() of a snapshot taken at state S makes the core
-  /// observably identical to when S was captured.
+  /// Everything run-mutable on a core: a restore_from() of a snapshot
+  /// taken at state S makes the core observably identical to when S was
+  /// captured. Taken right after construction, S is power-on: registers
+  /// clear, SVC mode, state Off, profiling counters zero.
   struct Snapshot {
     RegisterBank regs{};
     Cpsr cpsr{};

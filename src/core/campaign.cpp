@@ -31,12 +31,12 @@ std::uint64_t CampaignResult::total_injections() const {
 }
 
 RunResult Campaign::execute_one(std::uint64_t run_seed) {
-  CampaignExecutor executor(plan_, {/*threads=*/1, probe_recovery_});
+  CampaignExecutor executor(plan_, {.threads = 1, .probe_recovery = probe_recovery_});
   return executor.execute_one(run_seed);
 }
 
 CampaignResult Campaign::execute() {
-  CampaignExecutor executor(plan_, {/*threads=*/1, probe_recovery_});
+  CampaignExecutor executor(plan_, {.threads = 1, .probe_recovery = probe_recovery_});
   executor.set_progress(progress_);
   return executor.execute();
 }

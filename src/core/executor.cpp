@@ -74,15 +74,14 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
 TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
   // Don't provision hardware for campaigns whose every run is a
   // HarnessError anyway (unknown scenario/board, malformed tuning, rate 0).
-  if (!config_.reuse_testbeds || board_ == nullptr || scenario == nullptr ||
-      !tuning_status_.is_ok() || plan_.rate == 0) {
+  if (board_ == nullptr || scenario == nullptr || !tuning_status_.is_ok() ||
+      plan_.rate == 0) {
     return TestbedLease{};
   }
-  // With snapshots on, slots are keyed by scenario and tick policy too,
-  // so a parked slot's rewind point is one its next campaign may share.
-  return TestbedPool::instance().acquire(
-      board_name_, machine_tuning_, *board_,
-      config_.use_snapshots ? pool_extra_key_ : std::string());
+  // Slots are keyed by scenario and tick policy too, so a parked slot's
+  // rewind point is one its next campaign may share.
+  return TestbedPool::instance().acquire(board_name_, machine_tuning_, *board_,
+                                         pool_extra_key_);
 }
 
 RunResult CampaignExecutor::run_with(const Scenario* scenario,
@@ -102,23 +101,16 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     return harness_error("unknown board '" + board_name_ + "'");
   }
 
-  // Each run starts from the cheapest testbed that is exact:
-  //   1. rewind point — the slot holds a snapshot for this rewind key:
-  //      bulk-copy it back and run only the rest of the window;
-  //   2. pooled reset   — reset the slot to power-on, setup + boot (and,
-  //      with snapshots on, learn the rewind point);
-  //   3. fresh build    — private board from the cached registry entry.
-  // Bit-identical in all three modes — the reuse- and snapshot-
-  // equivalence suites pin it.
+  // A pooled run restores the slot's rewind point when it holds this
+  // rewind key's, else power-on, then sets up, boots and learns the
+  // point. The oracle (execute_one) builds a private board from the
+  // cached registry entry and runs the whole window.
   const bool arm_during_boot = scenario->arm_during_boot(plan_);
-  const bool rewindable = reused != nullptr && config_.use_snapshots;
   std::optional<Testbed> fresh;
   Testbed* testbed = reused;
   bool restored = false;
   if (testbed != nullptr) {
-    if (rewindable && testbed->has_snapshot(rewind_key_)) {
-      restored = testbed->restore_snapshot();
-    }
+    restored = testbed->has_snapshot(rewind_key_) && testbed->restore_snapshot();
     if (!restored) testbed->reset();
   } else {
     fresh.emplace(board_->factory());
@@ -126,7 +118,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
   }
   if (!restored) {
     // Restored state already carries policy, tuning and the booted cells
-    // (the rewind key guarantees they match); only the reset/fresh
+    // (the rewind key guarantees they match); only the power-on and fresh
     // paths configure and boot.
     testbed->set_tick_policy(config_.tick_policy);
     if (!tuning_.empty()) testbed->set_cell_tuning(tuning_);
@@ -167,7 +159,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     scenario->boot(*testbed);
     monitor.begin(*testbed);
     if (!arm_during_boot) injector.attach(testbed->hypervisor());
-    if (rewindable) {
+    if (reused != nullptr) {
       end = learn_window(*scenario, *testbed, monitor, injector);
     } else {
       scenario->observe(*testbed, plan_);
@@ -378,7 +370,7 @@ CampaignResult CampaignExecutor::execute() {
   for (unsigned w = 0; w < pool.size(); ++w) {
     pool.submit([&] {
       // Each worker checks out one long-lived slot for its whole shard;
-      // the steady-state per-run path is reset + run, no locks. The
+      // the steady-state per-run path is restore + run, no locks. The
       // lease is taken lazily on the first claimed run, so a campaign
       // with fewer runs than workers never provisions surplus testbeds.
       TestbedLease lease;

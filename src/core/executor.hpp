@@ -8,22 +8,23 @@
 // Injector/RNG), and each result lands in its own pre-sized slot — worker
 // scheduling can reorder *completion*, never *content*.
 //
-// Run lifecycle: by default each worker thread checks one long-lived
-// (board, testbed) slot out of the fi::TestbedPool for its whole shard.
-// The slot holds one snapshot, a *rewind point*: the latest tick boundary
-// that every run of the plan shares. A run's seed reaches only its
-// Injector, which draws from its RNG only when it injects, so all runs of
-// a plan are identical up to the tick of their first injecting call. The
-// slot's first run for a rewind key is its learning run: it resets and
-// boots, captures at window open if nothing was injected yet, and, when
-// the scenario's window is flat (one run_until to the close), steps tick
-// by tick until the injector has counted every call before the first
+// Run lifecycle: each worker thread checks one long-lived (board,
+// testbed) slot out of the fi::TestbedPool for its whole shard. Besides
+// its power-on state, the slot holds one snapshot, a *rewind point*: the
+// latest tick boundary that every run of the plan shares. A run's seed
+// reaches only its Injector, which draws from its RNG only when it
+// injects, so all runs of a plan are identical up to the tick of their
+// first injecting call. The slot's first run for a rewind key is its
+// learning run: it restores power-on (Testbed::reset) and boots,
+// captures at window open if nothing was injected yet, and, when the
+// scenario's window is flat (one run_until to the close), steps tick by
+// tick until the injector has counted every call before the first
 // injecting one (or the window closes) and captures again there. Every
 // later run restores the point, resumes the monitor's marks and the
 // injector's call count from it, and runs only the rest of the window.
 // Scenarios whose first injection falls during boot have no rewind point
-// and reset + boot per run. The board name and registry entry are
-// resolved once at construction, never in the per-run loop.
+// and restore power-on + boot per run. The board name and registry entry
+// are resolved once at construction, never in the per-run loop.
 //
 // Golden suffix: right after a flat window's learning run captures its
 // point, it runs the rest of the window once more with a counting,
@@ -51,10 +52,10 @@
 // full window would have left. Capturing a point or resetting the slot
 // forgets the golden suffix and its ladder.
 //
-// ExecutorConfig::use_snapshots = false falls back to checkout/reset-per-
-// run; reuse_testbeds = false restores build-per-run (fresh
-// construction) — results are bit-identical in all three modes (the
-// reuse- and snapshot-equivalence suites assert it).
+// There is one production path and one oracle: execute_one() builds a
+// fresh testbed and runs the whole window, no pool, no point, no decided
+// run. Results are bit-identical to execute()'s (the snapshot-
+// equivalence and decided-run suites assert it against execute_one).
 #pragma once
 
 #include <cstdint>
@@ -86,29 +87,6 @@ struct ExecutorConfig {
   /// Results are bit-identical either way (the tick-equivalence suite
   /// asserts it); PerTick exists for those golden comparisons.
   jh::TickPolicy tick_policy = jh::TickPolicy::EventDriven;
-
-  /// Reuse pooled testbeds across runs (reset-per-run) instead of
-  /// building a fresh board + testbed per run. Bit-identical results
-  /// either way (the reuse-equivalence suite asserts it); false exists
-  /// for those golden comparisons and for the pooled-vs-fresh benchmark.
-  bool reuse_testbeds = true;
-
-  /// Provision runs from the slot's rewind point (learn it once per slot
-  /// and rewind key, then restore-per-run) when the plan has one. Only
-  /// effective with reuse_testbeds; false falls back to reset + boot per
-  /// run.
-  /// Bit-identical results either way (the snapshot-equivalence suite
-  /// asserts it); false exists for those golden comparisons and for the
-  /// snapshot-vs-pooled benchmark.
-  bool use_snapshots = true;
-
-  /// Rebuild completed sweep cells from their persisted logs in parallel
-  /// (one zero-copy scan per cell on a util::ThreadPool) instead of one
-  /// by one. Pure-read phase; the aggregates still fold serially in grid
-  /// order, so sweep reports are byte-identical either way (the resume
-  /// suite asserts it) — false exists for that comparison and for the
-  /// cold-resume benchmark baseline.
-  bool parallel_resume = true;
 };
 
 class CampaignExecutor {
@@ -129,12 +107,13 @@ class CampaignExecutor {
   void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
   /// Execute all runs of the plan. Deterministic in (plan.seed, plan),
-  /// independent of config.threads and config.reuse_testbeds.
+  /// independent of config.threads.
   [[nodiscard]] CampaignResult execute();
 
-  /// Execute a single run with an explicit seed (replay / tests). Always
-  /// fresh-constructs its testbed: one-off replays shouldn't grow the
-  /// process-wide pool.
+  /// Execute a single run with an explicit seed on a freshly constructed
+  /// testbed, whole window, no pool: the oracle every equivalence suite
+  /// compares execute() with, and the replay path (one-off replays
+  /// shouldn't grow the process-wide pool).
   [[nodiscard]] RunResult execute_one(std::uint64_t run_seed) const;
 
   [[nodiscard]] const TestPlan& plan() const noexcept { return plan_; }
@@ -147,8 +126,8 @@ class CampaignExecutor {
   }
 
  private:
-  /// One run on `reused` (restored to its rewind point, else reset to
-  /// power-on) or, when null, on a freshly built testbed.
+  /// One run on `reused` (restored to its rewind point, else to power-on)
+  /// or, when null, on a freshly built testbed (the oracle).
   [[nodiscard]] RunResult run_with(const Scenario* scenario,
                                    std::uint64_t run_seed,
                                    Testbed* reused) const;
@@ -179,9 +158,9 @@ class CampaignExecutor {
   [[nodiscard]] bool probes(const RunResult& result) const;
 
   /// A pool lease for this executor's slot key, or an empty lease when
-  /// pooling is off or the campaign can only produce HarnessErrors
-  /// (unknown scenario/board, malformed tuning) — error campaigns must
-  /// not provision hardware.
+  /// the campaign can only produce HarnessErrors (unknown scenario/board,
+  /// malformed tuning, rate 0) — error campaigns must not provision
+  /// hardware.
   [[nodiscard]] TestbedLease lease_slot(const Scenario* scenario) const;
 
   TestPlan plan_;

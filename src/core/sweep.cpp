@@ -420,36 +420,27 @@ util::Expected<SweepResult> SweepDriver::execute() {
 
   // Resume pre-scan. Rebuilding a completed cell from its persisted log
   // is a pure read — mmap + one zero-copy scan, no shared state — so a
-  // cold start over a populated logdir validates cells in parallel. Only
+  // cold start over a populated logdir validates cells on the pool. Only
   // the *scan* is parallel: the fold below stays serial and in grid
-  // order, so the report is byte-identical for any thread count and with
-  // parallel_resume off (the resume suite asserts it).
+  // order, so the report is byte-identical for any thread count (the
+  // resume suite asserts it).
   std::vector<char> resumed(grid.size(), 0);
   std::vector<analysis::CampaignAggregate> recovered(grid.size());
   if (persist) {
-    const auto scan_cell = [&](std::size_t i) {
-      const std::string path = cell_log_path(spec_.log_dir, grid[i].name);
-      if (cell_log_complete(grid[i], path, recovered[i])) {
-        resumed[i] = 1;
-        util::LogPipeCounters::instance().record_resumed_cell();
-      }
-    };
-    if (config_.parallel_resume && grid.size() > 1) {
-      util::LogPipeCounters::instance().record_parallel_resume();
-      util::ThreadPool pool(config_.threads);
-      std::atomic<std::size_t> next{0};
-      for (unsigned t = 0; t < pool.size(); ++t) {
-        pool.submit([&grid, &next, &scan_cell] {
-          for (std::size_t i = next.fetch_add(1); i < grid.size();
-               i = next.fetch_add(1)) {
-            scan_cell(i);
+    util::ThreadPool pool(config_.threads);
+    std::atomic<std::size_t> next{0};
+    for (unsigned t = 0; t < pool.size(); ++t) {
+      pool.submit([&] {
+        for (std::size_t i = next.fetch_add(1); i < grid.size(); i = next.fetch_add(1)) {
+          const std::string path = cell_log_path(spec_.log_dir, grid[i].name);
+          if (cell_log_complete(grid[i], path, recovered[i])) {
+            resumed[i] = 1;
+            util::LogPipeCounters::instance().record_resumed_cell();
           }
-        });
-      }
-      pool.wait_idle();
-    } else {
-      for (std::size_t i = 0; i < grid.size(); ++i) scan_cell(i);
+        }
+      });
     }
+    pool.wait_idle();
   }
 
   SweepResult result;

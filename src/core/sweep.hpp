@@ -166,9 +166,8 @@ class SweepDriver {
   /// (when spec.log_dir is set), execute the rest, fold everything into a
   /// SweepResult. Deterministic in the spec for any thread count and any
   /// executed/resumed split. The resume scan — a pure read per cell —
-  /// runs on a util::ThreadPool when config.parallel_resume is set; the
-  /// fold stays serial in grid order, so results are byte-identical
-  /// either way.
+  /// runs on a util::ThreadPool of config.threads workers; the fold stays
+  /// serial in grid order, so results are byte-identical for any width.
   [[nodiscard]] util::Expected<SweepResult> execute();
 
   [[nodiscard]] const SweepSpec& spec() const noexcept { return spec_; }

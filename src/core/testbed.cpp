@@ -11,24 +11,15 @@ Testbed::Testbed(std::unique_ptr<platform::Board> board)
     : board_(board != nullptr ? std::move(board)
                               : std::make_unique<platform::BananaPiBoard>()),
       hv_(*board_),
-      machine_(*board_, hv_) {}
+      machine_(*board_, hv_) {
+  // Power-on is a snapshot like any other. Its DRAM pages (none on a new
+  // board) own the run arena's base, below every later capture.
+  capture_into(power_on_);
+  power_on_.arena_mark = run_arena_.mark();
+}
 
 void Testbed::reset() {
-  machine_.reset();
-  hv_.reset();
-  board_->reset();
-  linux_.reset();
-  freertos_.reset();
-  osek_.reset();
-  cell_id_ = 0;
-  secondary_cell_id_ = 0;
-  enabled_ = false;
-  ivshmem_ = false;
-  tuning_ = jh::CellTuning{};
-  ivshmem_stats_ = IvshmemTrafficStats{};
-  // A full arena reset reclaims the snapshot's page payloads too — any
-  // held snapshot is gone.
-  run_arena_.reset();
+  restore(power_on_);  // rewinding to its mark drops the held point's pages
   snapshot_valid_ = false;
   forget_golden_suffix();
 }
@@ -45,8 +36,9 @@ void Testbed::capture_snapshot(const std::string& key) {
 }
 
 void Testbed::capture_snapshot(const std::string& key, const RunPoint& point) {
-  // The snapshot owns the arena base: drop previous snapshot + scratch.
-  run_arena_.reset();
+  // The snapshot owns the arena above power-on: drop the previous one
+  // and any scratch.
+  run_arena_.rewind_to(power_on_.arena_mark);
   capture_into(snapshot_);
   snapshot_.point = point;
   snapshot_.arena_mark = run_arena_.mark();

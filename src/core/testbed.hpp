@@ -12,14 +12,16 @@
 // which case a *secondary* non-root cell can run concurrently on its own
 // core and the two cells can exchange ivshmem traffic.
 //
-// Snapshots: a testbed holds one rewind point (TestbedSnapshot) and, once
-// the executor has run the point's golden suffix, that suffix's result
-// and touch log (GoldenSuffix) plus a ladder of up to kLadderRungs later
-// snapshots of the same fault-free run. The point restores backwards
-// along the slot's history; a rung restores *forwards*, into a run that
-// is behind it on the golden trajectory, so it re-appends the append-
-// only state (UART bytes, event log, root records) the golden run wrote
-// after the point. Capturing a new point or resetting drops all of it.
+// Snapshots: a testbed holds its power-on state (TestbedSnapshot, taken
+// by the constructor and restored by reset()), at most one rewind point
+// and, once the executor has run the point's golden suffix, that suffix's
+// result and touch log (GoldenSuffix) plus a ladder of up to kLadderRungs
+// later snapshots of the same fault-free run. Power-on and the point
+// restore backwards along the slot's history; a rung restores *forwards*,
+// into a run that is behind it on the golden trajectory, so it re-appends
+// the append-only state (UART bytes, event log, root records) the golden
+// run wrote after the point. Capturing a new point or resetting drops the
+// point, its suffix and its ladder.
 #pragma once
 
 #include <cstdint>
@@ -110,12 +112,13 @@ struct GoldenSuffix {
 
 /// Everything a run can mutate, captured at a tick boundary of a slot's
 /// learning run (see fi::CampaignExecutor) and bulk-copied back by
-/// Testbed::restore_snapshot() instead of a full reset() + re-boot +
-/// replay. Page payloads live in the testbed's run arena *below*
-/// `arena_mark`; per-run scratch is placed above the mark, and restore
-/// rewinds to it — so the snapshot survives any number of runs while
-/// run-scoped allocations are reclaimed. Ladder rungs are snapshots too;
-/// their pages sit above the point's, under the point's mark.
+/// Testbed::restore_snapshot() instead of a reset() + re-boot + replay.
+/// Page payloads live in the testbed's run arena *below* `arena_mark`;
+/// per-run scratch is placed above the mark, and restore rewinds to it —
+/// so the snapshot survives any number of runs while run-scoped
+/// allocations are reclaimed. Power-on and ladder rungs are snapshots
+/// too: power-on's pages sit at the arena base, a rung's above the
+/// point's, under the point's mark.
 struct TestbedSnapshot {
   platform::Board::Snapshot board;
   jh::Hypervisor::Snapshot hv;
@@ -151,16 +154,16 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  /// Power-on restore of the whole testbed without tearing it down: the
-  /// board (clock, CPUs, devices, DRAM contents, event log), the
-  /// hypervisor (cells, configs, counters, hook), the machine (bindings,
-  /// start flags, watchdog, tick policy), all three guest images, and the
-  /// testbed's own cell/tuning/ivshmem bookkeeping. After reset() the
-  /// testbed behaves bit-identically to a freshly constructed one on the
-  /// same board variant — the contract that lets fi::TestbedPool reuse a
-  /// (board, testbed) slot across campaign runs. Nothing is heap-
-  /// allocated on this path (asserted by the pool's zero-allocation
-  /// test); run-scoped arena storage is rewound, not freed.
+  /// Restore the power-on snapshot the constructor captured, then drop
+  /// the held point, its golden suffix and its ladder. Every layer comes
+  /// back as constructed: the board (clock, CPUs, devices, DRAM contents,
+  /// event log), the hypervisor (cells, config registry, counters, hook),
+  /// the machine (bindings, start flags, watchdog, tick policy), all
+  /// three guest images, and the testbed's own cell/tuning/ivshmem
+  /// bookkeeping — the contract that lets fi::TestbedPool reuse a (board,
+  /// testbed) slot across campaign runs. Nothing is heap-allocated on
+  /// this path (asserted by the pool's zero-allocation test); run-scoped
+  /// arena storage is rewound, not freed.
   void reset();
 
   /// Run-scoped scratch arena: rewound by reset(), so anything placed
@@ -174,12 +177,13 @@ class Testbed {
   // --- snapshot warm-start ------------------------------------------------
   /// Capture the whole testbed state under `key`, at any tick boundary
   /// of a run: after setup + boot, or mid-window between two run_until()
-  /// calls. Rewinds the run arena first (the snapshot owns its base), so
-  /// nothing the run placed in the arena may be live across the call.
-  /// Replaces any previous snapshot: a testbed holds one, and restores
-  /// cut append-only state (UART capture, event log, root records) back
-  /// to its captured length, so it can only rewind along its current
-  /// history. The overload also stores the run's context (`point`).
+  /// calls. Rewinds the run arena first (the snapshot owns it from
+  /// power-on's mark up), so nothing the run placed in the arena may be
+  /// live across the call. Replaces any previous point: a testbed holds
+  /// one besides power-on, and restores cut append-only state (UART
+  /// capture, event log, root records) back to its captured length, so it
+  /// can only rewind along its current history. The overload also stores
+  /// the run's context (`point`).
   void capture_snapshot(const std::string& key);
   void capture_snapshot(const std::string& key, const RunPoint& point);
 
@@ -382,6 +386,8 @@ class Testbed {
   /// Per-run analysis scratch; 4 KiB covers the golden-profile buffers.
   /// Snapshot page payloads are placed at the base and survive rewinds.
   util::Arena run_arena_{4 * 1024};
+  /// The state construction left; reset() restores it.
+  TestbedSnapshot power_on_;
   TestbedSnapshot snapshot_;
   bool snapshot_valid_ = false;
   GoldenSuffix golden_;

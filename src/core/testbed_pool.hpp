@@ -4,12 +4,12 @@
 // The paper's outer loop provisions a fresh target per experiment; real
 // fault-injection tooling amortises that by *resetting* the target
 // instead of re-provisioning it. The pool is that amortisation for the
-// campaign executor: each worker thread checks one slot out per
-// (board_name, tuning) key for the duration of its shard and calls
-// Testbed::reset() between runs — power-on state, bit-identical results
-// (the reuse-equivalence suite pins pooled == fresh on every scenario ×
-// board × thread count), zero steady-state heap allocations (asserted
-// via util::AllocationObserver).
+// campaign executor: each worker thread checks one slot out per key for
+// the duration of its shard and restores it between runs — its rewind
+// point, or its power-on snapshot (Testbed::reset) — with bit-identical
+// results (the snapshot-equivalence suite pins pooled == fresh
+// construction on every scenario × board × thread count) and zero
+// steady-state heap allocations (asserted via util::AllocationObserver).
 //
 // Slots are keyed by (board_name, tuning text) even though reset()
 // restores power-on state regardless of the previous occupant — the key
@@ -29,7 +29,7 @@
 //
 // Thread-safety: acquire/release take one mutex each; a checked-out slot
 // is owned exclusively by its lease, so the steady-state per-run path
-// (reset + run) is lock-free. Leases from many executors may share the
+// (restore + run) is lock-free. Leases from many executors may share the
 // process-wide pool concurrently.
 #pragma once
 
@@ -50,7 +50,8 @@ class TestbedPool;
 
 /// Exclusive ownership of one pooled testbed; returns the slot to the
 /// pool on destruction. Default-constructed leases are empty (get() ==
-/// nullptr) — the executor's fresh-construction mode.
+/// nullptr): the executor leases none for campaigns that can only
+/// produce HarnessErrors.
 class TestbedLease {
  public:
   TestbedLease() = default;
@@ -95,12 +96,12 @@ class TestbedPool {
   /// Check a slot out for `(board_name, tuning_text)`: an idle slot when
   /// one exists, else a fresh testbed built from `entry`'s factory. The
   /// caller owns the slot until the lease dies. The testbed is handed out
-  /// as-is (possibly dirty); the per-run Testbed::reset() in the executor
-  /// restores power-on state before every run, first run included.
+  /// as-is (possibly dirty); the executor restores its rewind point or
+  /// power-on state before every run, first run included.
   /// `extra_key` extends the slot key (the executor passes scenario +
-  /// tick policy when snapshots are on, so a parked slot's rewind point
-  /// is one the next campaign that checks it out may share).
-  /// Empty (the default) keeps the classic (board, tuning) keying.
+  /// tick policy, so a parked slot's rewind point is one the next
+  /// campaign that checks it out may share). Empty (the default) keeps
+  /// the plain (board, tuning) keying.
   [[nodiscard]] TestbedLease acquire(
       const std::string& board_name, const std::string& tuning_text,
       const platform::BoardRegistry::Entry& entry,
@@ -112,7 +113,7 @@ class TestbedPool {
     std::uint64_t reuses = 0;    ///< checkouts served from an idle slot
     std::size_t idle_slots = 0;  ///< slots currently parked in the pool
     // Per-run provisioning counters (recorded lock-free by the executor).
-    std::uint64_t run_resets = 0;      ///< runs provisioned by full reset+boot
+    std::uint64_t run_resets = 0;      ///< runs provisioned by power-on + boot
     std::uint64_t run_restores = 0;    ///< runs resumed from a rewind point
     std::uint64_t captures = 0;        ///< rewind points captured (≤ 2 per learning run)
     std::uint64_t snapshot_bytes = 0;  ///< DRAM payload bytes, last capture

@@ -41,27 +41,6 @@ class FreeRtosImage final : public jh::GuestImage {
   [[nodiscard]] std::uint64_t unknown_irqs() const noexcept { return unknown_irqs_; }
   [[nodiscard]] std::uint64_t doorbells() const noexcept { return doorbells_; }
 
-  /// Power-on restore: kernel, task set and every workload counter back
-  /// to the freshly constructed state; on_start() re-spawns the workload.
-  void reset() noexcept {
-    kernel_.reset();
-    spawned_ = false;
-    led_on_ = false;
-    msg_queue_ = 0;
-    tx_seq_ = 0;
-    rx_seq_ = 0;
-    rx_validated_ = 0;
-    blinks_ = 0;
-    data_errors_ = 0;
-    unknown_irqs_ = 0;
-    doorbells_ = 0;
-    heartbeat_counter_ = 0;
-    fp_accumulators_ = {};
-    fp_shadows_ = {};
-    fp_iterations_ = {};
-    int_iterations_ = {};
-  }
-
   /// Tick period of the guest tick interrupt (1 board tick = 1 ms).
   static constexpr std::uint32_t kTickPeriod = 1;
 

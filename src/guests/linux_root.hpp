@@ -77,8 +77,8 @@ class LinuxRootImage final : public jh::GuestImage {
   [[nodiscard]] std::uint64_t jiffies() const noexcept { return jiffies_; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The record vector is append-only between resets, so it snapshots as
-  /// a length and restores by truncation.
+  /// The record vector is append-only along a run, so it snapshots as a
+  /// length and restores by truncation.
   struct Snapshot {
     std::vector<MgmtCommand> pending;
     std::size_t record_count = 0;
@@ -115,18 +115,6 @@ class LinuxRootImage final : public jh::GuestImage {
   void restore_records(std::size_t count, std::span<const MgmtRecord> tail) {
     if (records_.size() > count) records_.resize(count);
     records_.insert(records_.end(), tail.begin(), tail.end());
-  }
-
-  /// Power-on restore: pending commands, management records and driver
-  /// bookkeeping back to the freshly constructed state (capacity kept).
-  void reset() noexcept {
-    pending_.clear();
-    records_.clear();
-    last_created_cell_ = 0;
-    monitored_cell_ = 0;
-    last_poll_state_ = jh::kHvcENoEnt;
-    jiffies_ = 0;
-    quantum_counter_ = 0;
   }
 
  private:

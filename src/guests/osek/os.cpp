@@ -128,13 +128,6 @@ std::optional<TaskId> Os::find_task(std::string_view name) const {
   return std::nullopt;
 }
 
-void Os::reset() noexcept {
-  tasks_.clear();
-  alarms_.clear();
-  counter_ = 0;
-  dispatches_ = 0;
-}
-
 void Os::snapshot_to(Snapshot& out) const {
   out.tasks.resize(tasks_.size());
   for (std::size_t i = 0; i < tasks_.size(); ++i) {

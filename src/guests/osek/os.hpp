@@ -84,10 +84,6 @@ class Os {
   /// pending activations ∈ {0, 1} per basic task.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
-  /// Power-on restore: drop every task and alarm, rewind the system
-  /// counter. Container capacity is kept for reuse.
-  void reset() noexcept;
-
   // --- snapshot / restore (testbed warm-start) --------------------------
   /// Tasks and alarms are declared only at configuration time
   /// (pre-capture), so the snapshot stores their mutable fields by index;

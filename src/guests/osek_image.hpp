@@ -79,23 +79,6 @@ class OsekImage final : public jh::GuestImage {
     quantum_counter_ = snapshot.quantum_counter;
   }
 
-  /// Power-on restore: OS, task set and every workload counter back to
-  /// the freshly constructed state; on_start() re-declares the workload.
-  void reset() noexcept {
-    os_.reset();
-    configured_ = false;
-    samples_ = 0;
-    frames_ = 0;
-    kicks_ = 0;
-    errors_ = 0;
-    doorbells_ = 0;
-    unknown_irqs_ = 0;
-    pressure_raw_ = 0x800;
-    frame_seq_ = 0;
-    pending_frame_ = false;
-    quantum_counter_ = 0;
-  }
-
  private:
   void declare_workload();
 

@@ -169,15 +169,6 @@ std::optional<TaskId> Kernel::find_task(std::string_view name) const {
   return std::nullopt;
 }
 
-void Kernel::reset() noexcept {
-  tasks_.clear();
-  queues_.clear();
-  tick_count_ = 0;
-  dispatches_ = 0;
-  rr_cursor_ = static_cast<std::size_t>(-1);
-  rebuild_sets();
-}
-
 bool Kernel::invariants_hold() const noexcept {
   std::uint64_t ready = 0;
   std::array<std::uint64_t, kWheelSlots> wheel{};

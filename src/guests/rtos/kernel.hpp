@@ -13,7 +13,7 @@
 // mask per priority, and a 64-slot wake wheel of delayed tasks) up to
 // date as tasks change state. The sets are never snapshotted; every
 // state change goes through the kernel's one private setter, and
-// restore_from()/reset() rebuild them from the task states.
+// restore_from() rebuilds them from the task states.
 #pragma once
 
 #include <array>
@@ -86,11 +86,6 @@ class Kernel {
   /// residue between slices; blocked tasks have a wake reason; the
   /// derived ready/priority/wheel sets match the task states exactly.
   [[nodiscard]] bool invariants_hold() const noexcept;
-
-  /// Power-on restore: drop every task and queue, rewind kernel time.
-  /// Container capacity is kept, so a reused image re-spawning the same
-  /// workload allocates (almost) nothing.
-  void reset() noexcept;
 
   // --- snapshot / restore (testbed warm-start) --------------------------
   /// Tasks and queues are created only during guest start-up (pre-capture)

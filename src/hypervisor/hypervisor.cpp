@@ -19,22 +19,9 @@ std::string_view hook_point_name(HookPoint point) noexcept {
   return "?";
 }
 
-Hypervisor::Hypervisor(platform::Board& board) : board_(&board) {
+Hypervisor::Hypervisor(platform::Board& board)
+    : board_(&board), config_registry_(std::make_shared<const ConfigRegistry>()) {
   cpu_owner_.fill(kRootCellId);
-}
-
-void Hypervisor::reset() {
-  enabled_ = false;
-  panicked_ = false;
-  panic_reason_.clear();
-  counters_ = Counters{};
-  hook_ = nullptr;
-  next_cell_id_ = 1;
-  retire_all_tlb_counters();
-  cells_.clear();
-  config_registry_.clear();
-  cpu_owner_.fill(kRootCellId);
-  refresh_cpu_cells();
 }
 
 void Hypervisor::retire_tlb_counters(const Cell& cell) noexcept {
@@ -65,6 +52,7 @@ void Hypervisor::snapshot_to(Snapshot& out) const {
   out.counters = counters_;
   out.next_cell_id = next_cell_id_;
   out.cpu_owner = cpu_owner_;
+  out.config_registry = config_registry_;
   out.cells.clear();
   out.cells.reserve(cells_.size());
   for (const auto& [id, cell] : cells_) {
@@ -81,6 +69,7 @@ void Hypervisor::restore_from(const Snapshot& snapshot) {
   hook_ = nullptr;
   next_cell_id_ = snapshot.next_cell_id;
   cpu_owner_ = snapshot.cpu_owner;
+  config_registry_ = snapshot.config_registry;
   // Ids are monotonic, so a live cell with a captured id *is* the captured
   // cell: restore it in place. Cells created after capture are dropped;
   // cells destroyed after capture are rebuilt from the captured config
@@ -141,7 +130,9 @@ util::Status Hypervisor::enable(CellConfig root_config) {
 }
 
 void Hypervisor::register_config(std::uint64_t addr, CellConfig config) {
-  config_registry_.insert_or_assign(addr, std::move(config));
+  auto registry = std::make_shared<ConfigRegistry>(*config_registry_);
+  registry->insert_or_assign(addr, std::move(config));
+  config_registry_ = std::move(registry);
 }
 
 Cell* Hypervisor::find_cell(CellId id) noexcept {
@@ -440,8 +431,8 @@ HvcResult Hypervisor::arch_handle_hvc(arch::EntryFrame& frame) {
 // ---------------------------------------------------------------------------
 
 HvcResult Hypervisor::do_cell_create(int cpu, std::uint32_t config_addr) {
-  const auto it = config_registry_.find(config_addr);
-  if (it == config_registry_.end()) {
+  const auto it = config_registry_->find(config_addr);
+  if (it == config_registry_->end()) {
     // Corrupted config address: no config there — invalid arguments.
     return kHvcEInval;
   }

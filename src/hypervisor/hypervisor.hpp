@@ -113,17 +113,11 @@ class Hypervisor {
   util::Status enable(CellConfig root_config);
   [[nodiscard]] bool is_enabled() const noexcept { return enabled_; }
 
-  /// Power-on restore: cells, config registry, counters, panic state,
-  /// CPU ownership and the entry hook all back to the post-construction
-  /// defaults, without touching the board. Frees only what the previous
-  /// run created (cells), allocates nothing — the testbed pool's
-  /// per-run reset path. The board reference is untouched.
-  void reset();
-
   // --- root-driver side: config registry --------------------------------
   /// The root driver copies a cell config into kernel memory and passes
   /// its address to the create hypercall; this registers that address.
   void register_config(std::uint64_t addr, CellConfig config);
+  using ConfigRegistry = std::map<std::uint64_t, CellConfig>;
 
   // --- the three instrumented entry points ------------------------------
   /// Interrupt entry for `cpu`: acknowledge, fire hook, route, EOI.
@@ -181,16 +175,18 @@ class Hypervisor {
   [[nodiscard]] platform::Board& board() noexcept { return *board_; }
 
   /// Stage-2 TLB totals summed over live cells plus every cell retired so
-  /// far (destroy/disable/reset take a cell's counters into the retired
+  /// far (destroy/disable/restore take a cell's counters into the retired
   /// tally first, so the totals are monotonic instrumentation — never
   /// snapshotted or restored; consumers window them by differencing).
   [[nodiscard]] std::uint64_t stage2_tlb_hits() const noexcept;
   [[nodiscard]] std::uint64_t stage2_tlb_misses() const noexcept;
 
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// Captures everything a run can mutate. The config registry is written
-  /// only during scenario setup (pre-capture) and the entry hook is
-  /// detached between runs, so neither is part of the snapshot.
+  /// Captures everything a run can mutate. The config registry is part of
+  /// it because a power-on snapshot (fi::Testbed::reset) must forget the
+  /// configs scenario setup registered; it is shared, not copied, so a
+  /// restore never allocates. The entry hook is detached between runs
+  /// and is not part of the snapshot; restore_from() clears it.
   struct Snapshot {
     bool enabled = false;
     bool panicked = false;
@@ -199,6 +195,7 @@ class Hypervisor {
     CellId next_cell_id = 1;
     std::array<CellId, irq::kMaxCpus> cpu_owner{};
     std::vector<Cell::Snapshot> cells;  ///< in ascending id order
+    std::shared_ptr<const ConfigRegistry> config_registry;
   };
 
   void snapshot_to(Snapshot& out) const;
@@ -270,7 +267,9 @@ class Hypervisor {
   void retire_all_tlb_counters() noexcept;
 
   std::map<CellId, std::unique_ptr<Cell>> cells_;
-  std::map<std::uint64_t, CellConfig> config_registry_;
+  /// Never null and never mutated in place: register_config() publishes a
+  /// new map, so snapshots share the one they captured.
+  std::shared_ptr<const ConfigRegistry> config_registry_;
   std::array<CellId, irq::kMaxCpus> cpu_owner_{};
   /// find_cell(cpu_owner_[cpu]), kept current: every cpu_owner_ write goes
   /// through set_cpu_owner(), and every cells_ insertion or removal is
@@ -278,8 +277,8 @@ class Hypervisor {
   std::array<Cell*, irq::kMaxCpus> cpu_cell_{};
   void set_cpu_owner(int cpu, CellId id) noexcept;
   void refresh_cpu_cells() noexcept;
-  /// Monotonic instrumentation (see stage2_tlb_hits): survives reset and
-  /// snapshot restore by design.
+  /// Monotonic instrumentation (see stage2_tlb_hits): survives snapshot
+  /// restore by design.
   std::uint64_t retired_tlb_hits_ = 0;
   std::uint64_t retired_tlb_misses_ = 0;
 };

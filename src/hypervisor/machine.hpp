@@ -51,17 +51,6 @@ class Machine {
   void set_tick_policy(TickPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] TickPolicy tick_policy() const noexcept { return policy_; }
 
-  /// Power-on restore: guest bindings, per-CPU start flags, the watchdog
-  /// hook and the tick policy back to the post-construction defaults.
-  /// Board/hypervisor references are untouched (the testbed resets those
-  /// itself).
-  void reset() noexcept {
-    images_.fill(nullptr);
-    started_.fill(false);
-    watchdog_ = nullptr;
-    policy_ = TickPolicy::EventDriven;
-  }
-
   // --- snapshot / restore (testbed warm-start) --------------------------
   /// Guest images are testbed-owned with stable addresses, so the binding
   /// table snapshots as raw pointers. The watchdog is caller-installed per

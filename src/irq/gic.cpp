@@ -6,16 +6,10 @@
 namespace mcs::irq {
 
 Gic::Gic(int num_cpus) : num_cpus_(std::clamp(num_cpus, 1, kMaxCpus)) {
-  reset();
-}
-
-void Gic::reset() noexcept {
-  for (Line& line : lines_) line = Line{};
-  for (PendingBits& bits : pending_bits_) bits.fill(0);
   priority_mask_.fill(kIdlePriority);  // everything unmasked by default
   // Banked per-CPU lines (SGIs and PPIs) come out of reset enabled at a
   // mid-range priority — the state Linux/Jailhouse leave them in before
-  // any guest runs, folded into reset for the functional model.
+  // any guest runs, folded into power-on for the functional model.
   for (IrqId irq = 0; irq < kFirstSpi; ++irq) {
     lines_[irq].enabled = true;
     lines_[irq].priority = kDefaultPriority;

@@ -125,18 +125,12 @@ class Gic {
   /// Drop all pending/active state for a CPU (cell destruction reclaim).
   void reset_cpu(int cpu) noexcept;
 
-  /// Full power-on restore: distributor line state (enable/priority/
-  /// target), per-CPU pending/active, delivery counters and priority
-  /// masks all back to the post-construction defaults. Board::reset uses
-  /// this so a reused board's irqchip is indistinguishable from new.
-  void reset() noexcept;
-
   // --- statistics -------------------------------------------------------
   [[nodiscard]] std::uint64_t delivered(IrqId irq) const noexcept;
 
   /// Report enable/priority/target reads and writes to `touches` from now
-  /// on (null stops reporting). Not part of the GIC's state: never reset,
-  /// never snapshotted.
+  /// on (null stops reporting). Not part of the GIC's state: never
+  /// snapshotted.
   void set_touch_log(util::TouchLog* touches) noexcept { touches_ = touches; }
 
   // --- snapshot / restore (testbed warm-start) --------------------------
@@ -192,7 +186,9 @@ class Gic {
 };
 
 /// The whole distributor + CPU-interface state, trivially copyable —
-/// capture and restore are plain struct assignments.
+/// capture and restore are plain struct assignments. Captured right
+/// after construction, it is power-on: banked SGI/PPI lines enabled at
+/// the default priority, SPIs disabled, nothing pending, masks open.
 struct Gic::Snapshot {
   std::array<Line, kNumIrqs> lines{};
   std::array<std::uint8_t, kMaxCpus> priority_mask{};

@@ -31,16 +31,6 @@ std::uint8_t* PhysicalMemory::touch_page(PhysAddr addr) {
   return page;
 }
 
-void PhysicalMemory::reset_contents() noexcept {
-  // Clean resident pages are all-zero by invariant; only written pages
-  // need scrubbing.
-  for (const std::uint64_t index : dirty_list_) {
-    std::memset(table_[index], 0, kPageSize);
-    dirty_flags_[index] = 0;
-  }
-  dirty_list_.clear();
-}
-
 void PhysicalMemory::snapshot_to(Snapshot& out, util::Arena& arena) const {
   out.pages.clear();
   out.pages.reserve(dirty_list_.size());

@@ -3,9 +3,10 @@
 // Backed by 4 KiB pages allocated on first touch so a full-board model
 // costs only what the workload actually dirties. Page storage comes from
 // a util::Arena owned by the memory itself: materialising a page is a
-// pointer bump, and reset_contents() restores every resident page to
-// power-on zeroes *in place* — no frees, no allocations — which is what
-// lets a pooled testbed reuse its board RAM windows run after run.
+// pointer bump, and restoring a snapshot rewrites resident pages *in
+// place* — no frees, no allocations. Restoring the empty power-on
+// snapshot zeroes them, which is what lets a pooled testbed reuse its
+// board RAM windows run after run.
 //
 // Page lookup is a *flat pointer table* indexed by page number (2 MiB of
 // pointers for the 1 GiB window) instead of a hash map: the per-access
@@ -17,11 +18,10 @@
 //
 // Pages are dirty-tracked: every write path marks its page, and the
 // invariant "a resident page not on the dirty list is all-zero" lets
-// reset_contents(), snapshot capture and snapshot restore touch only the
-// pages a run actually wrote instead of the whole resident set. All
-// accesses are bounds checked against the DRAM window; device windows
-// live *outside* DRAM and are handled by the board's MMIO dispatch, not
-// here.
+// snapshot capture and restore touch only the pages a run actually wrote
+// instead of the whole resident set. All accesses are bounds checked
+// against the DRAM window; device windows live *outside* DRAM and are
+// handled by the board's MMIO dispatch, not here.
 //
 // While a golden suffix runs (fi::CampaignExecutor), every access also
 // reports the pages it spans to a util::TouchLog — fast and slow paths,
@@ -146,14 +146,14 @@ class PhysicalMemory {
   /// Number of 4 KiB pages materialised so far.
   [[nodiscard]] std::size_t resident_pages() const noexcept { return resident_; }
 
-  /// Pages written since the last reset_contents()/restore_from() — the
+  /// Pages written since construction or the last restore_from() — the
   /// set the next power-on restore has to zero (and a snapshot has to
   /// copy). Always ≤ resident_pages().
   [[nodiscard]] std::size_t dirty_pages() const noexcept {
     return dirty_list_.size();
   }
 
-  // --- instrumentation (monotonic; never reset, never snapshotted) ------
+  // --- instrumentation (monotonic; never restored, never snapshotted) ---
   /// Aligned word accesses served by the inline fast path.
   [[nodiscard]] std::uint64_t fast_ops() const noexcept { return fast_ops_; }
   /// Accesses that went through the byte-block slow path (unaligned,
@@ -161,8 +161,8 @@ class PhysicalMemory {
   [[nodiscard]] std::uint64_t slow_ops() const noexcept { return slow_ops_; }
 
   /// Report every page an access spans to `touches` from now on (null
-  /// stops reporting). Not part of the memory's state: never reset,
-  /// never snapshotted.
+  /// stops reporting). Not part of the memory's state: never
+  /// snapshotted.
   void set_touch_log(util::TouchLog* touches) noexcept { touches_ = touches; }
 
   /// Drop all contents and page residency (cold reset: the next touch
@@ -174,13 +174,6 @@ class PhysicalMemory {
     resident_ = 0;
     arena_.reset();
   }
-
-  /// Power-on restore without freeing: every *dirty* resident page is
-  /// zeroed in place and stays resident (clean resident pages are already
-  /// zero by invariant), so reads are indistinguishable from a fresh
-  /// memory while the steady-state reuse path performs zero heap
-  /// allocations for pages it already touched.
-  void reset_contents() noexcept;
 
   /// Copy-on-capture image of the dirty page set. Page payloads live in
   /// the arena handed to snapshot_to(); the snapshot is valid until that
@@ -203,8 +196,10 @@ class PhysicalMemory {
   /// Restore the captured contents in place. Touches the pages that are
   /// currently dirty and the snapshot's pages, so the cost scales with
   /// what the run wrote, and the dirty set afterwards equals the
-  /// snapshot's. A snapshot taken later than the current state (a golden
-  /// suffix's ladder rung) may hold pages that are clean here; those are
+  /// snapshot's. Dirty pages the snapshot lacks are zeroed and stay
+  /// resident, so the empty power-on snapshot reads like a new memory. A
+  /// snapshot taken later than the current state (a golden suffix's
+  /// ladder rung) may hold pages that are clean here; those are
   /// materialised and copied. Zero heap allocations in steady state.
   void restore_from(const Snapshot& snapshot);
 
@@ -237,10 +232,10 @@ class PhysicalMemory {
   util::Arena arena_{64 * kPageSize};
   /// Page number → page storage (nullptr while not materialised).
   std::vector<std::uint8_t*> table_;
-  /// Page number → written-since-last-reset flag (mirrors dirty_list_).
+  /// Page number → written-since-last-restore flag (mirrors dirty_list_).
   std::vector<std::uint8_t> dirty_flags_;
-  /// Indexes of pages written since the last reset/restore (unordered;
-  /// capacity kept across resets for the zero-allocation steady state).
+  /// Indexes of pages written since the last restore (unordered;
+  /// capacity kept across restores for the zero-allocation steady state).
   std::vector<std::uint64_t> dirty_list_;
   std::size_t resident_ = 0;
   mutable std::uint64_t fast_ops_ = 0;

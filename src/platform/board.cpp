@@ -119,23 +119,6 @@ void Board::run_ticks(std::uint64_t n) {
   advance_to(clock_.now() + util::Ticks{n});
 }
 
-void Board::reset() {
-  // Full power-on restore, nothing freed: a pooled testbed's next run
-  // must be bit-identical to one on a freshly built board.
-  clock_.reset();
-  for (arch::Cpu* cpu : cpus_) cpu->reset();
-  uart0_.reset();
-  uart0_.clear_capture();
-  uart1_.reset();
-  uart1_.clear_capture();
-  timer_.reset();
-  gpio_.reset();
-  gpio_.clear_toggles();
-  gic_.reset();
-  dram_.reset_contents();
-  log_.clear();
-}
-
 void Board::snapshot_to(Snapshot& out, util::Arena& page_arena) const {
   out.clock_now = clock_.now();
   out.cpus.resize(cpus_.size());

@@ -104,21 +104,15 @@ class Board {
     return deadline_refreshes_;
   }
 
-  /// Power-on restore without freeing memory: clock back to tick 0, CPUs
-  /// (including profiling counters), devices and serial captures, irqchip
-  /// line state, DRAM contents (resident pages zeroed in place) and the
-  /// event log. After reset() the board is observably indistinguishable
-  /// from a freshly constructed one — the contract the testbed pool's
-  /// reuse-equivalence suite pins — while every backing allocation (CPU
-  /// arena block, DRAM pages, capture/log capacity) stays resident for
-  /// the next run.
-  void reset();
-
   // --- snapshot / restore (testbed warm-start) --------------------------
   /// Everything a run mutates below the hypervisor: clock, CPUs, devices,
   /// irqchip, DRAM (dirty pages only) and the log length. Page payloads
   /// are copied into `page_arena` (the testbed's run arena), everything
-  /// else lives inline in the struct.
+  /// else lives inline in the struct. A snapshot taken right after
+  /// construction is the power-on state: restoring it makes the board
+  /// observably indistinguishable from a new one while every backing
+  /// allocation (CPU arena block, DRAM pages, capture/log capacity) stays
+  /// resident for the next run.
   struct Snapshot {
     util::Ticks clock_now{};
     std::vector<arch::Cpu::Snapshot> cpus;
@@ -140,7 +134,7 @@ class Board {
 
   BoardSpec spec_;
   /// Construction-scoped storage (CPU blocks); never rewound — the board
-  /// keeps its hardware for life, reset() only restores state.
+  /// keeps its hardware for life, restores only rewind state.
   util::Arena arena_{4 * 1024};
   util::SimClock clock_;
   util::EventLog log_;

@@ -12,8 +12,8 @@
 //   count invocations. Deadlines are *absolute*, so the board caches the
 //   earliest one and devices signal re-arms through a shared deadline
 //   generation: every code path that can change a device's published
-//   deadline (MMIO reprogramming, internal re-arm in tick(), reset,
-//   snapshot restore) must call note_deadline_change(), and the board
+//   deadline (MMIO reprogramming, internal re-arm in tick(), snapshot
+//   restore) must call note_deadline_change(), and the board
 //   re-polls only when the generation moved. A device that never calls
 //   it must publish kNoDeadline forever (the quiescent default). New
 //   device models (e.g. a NIC) inherit this contract.
@@ -69,9 +69,6 @@ class Device {
   /// published deadline is due; `now` may be arbitrarily far past the
   /// previous call (default: nothing to do).
   virtual void tick(util::Ticks /*now*/) {}
-
-  /// Cold reset.
-  virtual void reset() {}
 
   /// Board wiring: point the device at the board's deadline generation
   /// counter so note_deadline_change() can invalidate the board's cached

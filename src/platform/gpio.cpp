@@ -32,12 +32,6 @@ util::Status Gpio::mmio_write(std::uint64_t offset, std::uint32_t value) {
   }
 }
 
-void Gpio::reset() {
-  data_ = 0;
-  direction_ = 0;
-  // led_toggles_ survives: it is an experiment counter, not device state.
-}
-
 bool Gpio::led_on() const noexcept { return util::test_bit(data_, kGreenLedLine); }
 
 void Gpio::set_line(unsigned line, bool high) {

@@ -24,15 +24,9 @@ class Gpio final : public Device {
 
   [[nodiscard]] util::Expected<std::uint32_t> mmio_read(std::uint64_t offset) override;
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
-  void reset() override;
 
   [[nodiscard]] bool led_on() const noexcept;
   [[nodiscard]] std::uint64_t led_toggles() const noexcept { return led_toggles_; }
-
-  /// Drop the toggle counter. Device reset() keeps it on purpose (it is
-  /// an experiment observable); the board's power-on restore clears it so
-  /// a reused board starts every run from the same baseline.
-  void clear_toggles() noexcept { led_toggles_ = 0; }
 
   /// Guest-facing helpers (bypass MMIO encoding).
   void set_line(unsigned line, bool high);

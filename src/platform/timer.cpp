@@ -108,11 +108,6 @@ void PeriodicTimer::tick(util::Ticks now) {
   if (rearmed) note_deadline_change();
 }
 
-void PeriodicTimer::reset() {
-  cpus_.fill(PerCpu{});
-  note_deadline_change();
-}
-
 void PeriodicTimer::start(int cpu, std::uint32_t period_ticks) {
   if (cpu < 0 || cpu >= num_cpus_ || period_ticks == 0) return;
   PerCpu& state = cpus_[static_cast<std::size_t>(cpu)];

@@ -40,7 +40,6 @@ class PeriodicTimer final : public Device {
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
   [[nodiscard]] util::Ticks next_deadline(util::Ticks now) const override;
   void tick(util::Ticks now) override;
-  void reset() override;
 
   /// Convenience for guests that program the timer directly (the usual
   /// path in the simulation; MMIO exists for device-model completeness).

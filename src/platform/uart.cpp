@@ -48,12 +48,6 @@ util::Status Uart::mmio_write(std::uint64_t offset, std::uint32_t value) {
   }
 }
 
-void Uart::reset() {
-  rx_fifo_.clear();
-  tx_irq_enabled_ = false;
-  // The capture survives reset on purpose: it is the experiment log.
-}
-
 std::vector<std::string> Uart::lines() const {
   std::vector<std::string> out;
   std::string current;

@@ -35,7 +35,6 @@ class Uart final : public Device {
 
   [[nodiscard]] util::Expected<std::uint32_t> mmio_read(std::uint64_t offset) override;
   util::Status mmio_write(std::uint64_t offset, std::uint32_t value) override;
-  void reset() override;
 
   /// Everything ever transmitted (the log the paper collects).
   [[nodiscard]] const std::string& captured() const noexcept { return captured_; }
@@ -53,12 +52,10 @@ class Uart final : public Device {
   /// Host-side input (loopback/test support).
   void feed_rx(std::string_view data);
 
-  void clear_capture() noexcept { captured_.clear(); }
-
   // --- snapshot / restore (testbed warm-start) --------------------------
-  /// The capture buffer is append-only between board resets, so its
-  /// snapshot is just a length: restore truncates back to the captured
-  /// prefix (no byte copies, no allocations).
+  /// The capture buffer is append-only along a run, so its snapshot is
+  /// just a length: restore truncates back to the captured prefix (no
+  /// byte copies, no allocations; power-on's length is 0).
   struct Snapshot {
     std::size_t captured_size = 0;
     std::string rx_fifo;

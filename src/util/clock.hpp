@@ -37,12 +37,9 @@ class SimClock {
   void advance(Ticks delta) noexcept { now_ += delta; }
   void tick() noexcept { now_ += Ticks{1}; }
 
-  /// Power-on restore (Board::reset only): time starts again at tick 0,
-  /// so a reused board is indistinguishable from a freshly built one.
-  void reset() noexcept { now_ = Ticks{}; }
-
   /// Snapshot restore (Board::restore_from only): rewind to the captured
-  /// tick so absolute device deadlines line up with the restored state.
+  /// tick so absolute device deadlines line up with the restored state
+  /// (tick 0 for power-on).
   void restore(Ticks now) noexcept { now_ = now; }
 
  private:

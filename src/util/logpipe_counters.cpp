@@ -19,8 +19,6 @@ LogPipeCounters::Stats LogPipeCounters::stats() const noexcept {
   out.parse_lines = parse_lines_.load(std::memory_order_relaxed);
   out.parse_bytes = parse_bytes_.load(std::memory_order_relaxed);
   out.resumed_cells = resumed_cells_.load(std::memory_order_relaxed);
-  out.parallel_resume_batches =
-      parallel_resume_batches_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -35,7 +33,6 @@ void LogPipeCounters::reset() noexcept {
   parse_lines_.store(0, std::memory_order_relaxed);
   parse_bytes_.store(0, std::memory_order_relaxed);
   resumed_cells_.store(0, std::memory_order_relaxed);
-  parallel_resume_batches_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mcs::util

@@ -37,7 +37,6 @@ class LogPipeCounters {
     std::uint64_t parse_bytes = 0;      ///< run-log bytes scanned zero-copy
     // Resume tier (sweep cold-start over a populated logdir).
     std::uint64_t resumed_cells = 0;    ///< cells rebuilt from persisted logs
-    std::uint64_t parallel_resume_batches = 0;  ///< parallel resume scans
   };
   [[nodiscard]] Stats stats() const noexcept;
 
@@ -63,7 +62,6 @@ class LogPipeCounters {
     parse_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
   void record_resumed_cell() noexcept { add(resumed_cells_); }
-  void record_parallel_resume() noexcept { add(parallel_resume_batches_); }
 
  private:
   void add(std::atomic<std::uint64_t>& counter) noexcept {
@@ -80,7 +78,6 @@ class LogPipeCounters {
   std::atomic<std::uint64_t> parse_lines_{0};
   std::atomic<std::uint64_t> parse_bytes_{0};
   std::atomic<std::uint64_t> resumed_cells_{0};
-  std::atomic<std::uint64_t> parallel_resume_batches_{0};
 };
 
 }  // namespace mcs::util

@@ -210,7 +210,7 @@ TEST(LogSink, TextMatchesSerialRenderOfShardedCampaign) {
   plan.duration_ticks = 1'500;
   plan.phase = 2;
 
-  fi::CampaignExecutor executor(plan, {4, true});
+  fi::CampaignExecutor executor(plan, {.threads = 4});
   LogSink sink;
   executor.set_progress([&sink](std::uint32_t index, const fi::RunResult& run) {
     sink.record(index, run);

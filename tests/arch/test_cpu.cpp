@@ -63,13 +63,20 @@ TEST(Cpu, CompleteBootRequiresBringUp) {
 
 TEST(Cpu, ResetClearsEverything) {
   Cpu cpu(0);
+  Cpu::Snapshot power_on;
+  cpu.snapshot_to(power_on);
   (void)cpu.power_on(0x1000);
   (void)cpu.complete_boot();
   cpu.regs().set(Reg::R5, 99);
-  cpu.reset();
+  cpu.cpsr().set_mode(Mode::Hyp);
+  cpu.trap_entries = 7;
+  cpu.restore_from(power_on);
   EXPECT_EQ(cpu.power_state(), PowerState::Off);
+  EXPECT_EQ(cpu.entry_point(), 0u);
   EXPECT_EQ(cpu.regs().get(Reg::R5), 0u);
+  EXPECT_EQ(cpu.regs().get(Reg::PC), 0u);
   EXPECT_EQ(cpu.cpsr().mode(), Mode::Supervisor);
+  EXPECT_EQ(cpu.trap_entries, 0u);
 }
 
 TEST(Cpu, HypStacksArePerCoreAndDisjoint) {

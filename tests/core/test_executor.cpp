@@ -35,9 +35,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 // regardless of the worker count.
 TEST(CampaignExecutor, SixtyFourRunsIdenticalAcrossOneTwoEightThreads) {
   const TestPlan plan = quick_plan(64);
-  const CampaignResult serial = CampaignExecutor(plan, {1, true}).execute();
-  const CampaignResult two = CampaignExecutor(plan, {2, true}).execute();
-  const CampaignResult eight = CampaignExecutor(plan, {8, true}).execute();
+  const CampaignResult serial = CampaignExecutor(plan, {.threads = 1}).execute();
+  const CampaignResult two = CampaignExecutor(plan, {.threads = 2}).execute();
+  const CampaignResult eight = CampaignExecutor(plan, {.threads = 8}).execute();
   expect_identical(serial, two);
   expect_identical(serial, eight);
 }
@@ -49,9 +49,9 @@ TEST(CampaignExecutor, ShardingDeterministicOnEveryBoardVariant) {
   for (const char* board : {"bananapi", "quad-a7"}) {
     TestPlan plan = quick_plan(24);
     plan.board = board;
-    const CampaignResult one = CampaignExecutor(plan, {1, true}).execute();
-    const CampaignResult four = CampaignExecutor(plan, {4, true}).execute();
-    const CampaignResult eight = CampaignExecutor(plan, {8, true}).execute();
+    const CampaignResult one = CampaignExecutor(plan, {.threads = 1}).execute();
+    const CampaignResult four = CampaignExecutor(plan, {.threads = 4}).execute();
+    const CampaignResult eight = CampaignExecutor(plan, {.threads = 8}).execute();
     SCOPED_TRACE(board);
     expect_identical(one, four);
     expect_identical(one, eight);
@@ -61,7 +61,7 @@ TEST(CampaignExecutor, ShardingDeterministicOnEveryBoardVariant) {
 TEST(CampaignExecutor, UnknownBoardIsAHarnessError) {
   TestPlan plan = quick_plan(2);
   plan.board = "hexa-a53";
-  const CampaignResult result = CampaignExecutor(plan, {2, true}).execute();
+  const CampaignResult result = CampaignExecutor(plan, {.threads = 2}).execute();
   ASSERT_EQ(result.runs.size(), 2u);
   for (const RunResult& run : result.runs) {
     EXPECT_EQ(run.outcome, Outcome::HarnessError);
@@ -77,7 +77,7 @@ TEST(CampaignExecutor, TuningBoardKeyOverridesPlanBoard) {
   plan.scenario = "ivshmem-traffic";
   plan.board = "bananapi";
   plan.cell_tuning = "board quad-a7";
-  const CampaignResult result = CampaignExecutor(plan, {1, true}).execute();
+  const CampaignResult result = CampaignExecutor(plan, {.threads = 1}).execute();
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_NE(result.runs[0].outcome, Outcome::HarnessError)
       << result.runs[0].detail;
@@ -86,13 +86,13 @@ TEST(CampaignExecutor, TuningBoardKeyOverridesPlanBoard) {
 TEST(CampaignExecutor, MatchesSerialCampaignClass) {
   const TestPlan plan = quick_plan(12);
   const CampaignResult via_campaign = Campaign(plan).execute();
-  const CampaignResult via_executor = CampaignExecutor(plan, {4, true}).execute();
+  const CampaignResult via_executor = CampaignExecutor(plan, {.threads = 4}).execute();
   expect_identical(via_campaign, via_executor);
 }
 
 TEST(CampaignExecutor, ProgressFiresOncePerRunWithUniqueIndices) {
   const TestPlan plan = quick_plan(16);
-  CampaignExecutor executor(plan, {4, true});
+  CampaignExecutor executor(plan, {.threads = 4});
   std::mutex mutex;
   std::set<std::uint32_t> seen;
   executor.set_progress([&](std::uint32_t index, const RunResult&) {
@@ -107,7 +107,7 @@ TEST(CampaignExecutor, ProgressFiresOncePerRunWithUniqueIndices) {
 }
 
 TEST(CampaignExecutor, SerialProgressArrivesInRunOrder) {
-  CampaignExecutor executor(quick_plan(5), {1, true});
+  CampaignExecutor executor(quick_plan(5), {.threads = 1});
   std::uint32_t expected = 0;
   executor.set_progress([&](std::uint32_t index, const RunResult&) {
     EXPECT_EQ(index, expected++);
@@ -118,7 +118,7 @@ TEST(CampaignExecutor, SerialProgressArrivesInRunOrder) {
 
 TEST(CampaignExecutor, ExecuteOneMatchesCampaignReplay) {
   const TestPlan plan = quick_plan(1);
-  CampaignExecutor executor(plan, {1, true});
+  CampaignExecutor executor(plan, {.threads = 1});
   Campaign campaign(plan);
   const RunResult a = executor.execute_one(777);
   const RunResult b = campaign.execute_one(777);
@@ -129,7 +129,8 @@ TEST(CampaignExecutor, ExecuteOneMatchesCampaignReplay) {
 
 TEST(CampaignExecutor, ProbeRecoveryOffLeavesReclaimUnset) {
   TestPlan plan = quick_plan(10);
-  const CampaignResult result = CampaignExecutor(plan, {2, false}).execute();
+  const CampaignResult result =
+      CampaignExecutor(plan, {.threads = 2, .probe_recovery = false}).execute();
   for (const RunResult& run : result.runs) {
     EXPECT_FALSE(run.shutdown_reclaimed);
   }
@@ -137,7 +138,7 @@ TEST(CampaignExecutor, ProbeRecoveryOffLeavesReclaimUnset) {
 
 TEST(CampaignExecutor, ZeroRunPlanYieldsEmptyResult) {
   const CampaignResult result =
-      CampaignExecutor(quick_plan(0), {4, true}).execute();
+      CampaignExecutor(quick_plan(0), {.threads = 4}).execute();
   EXPECT_TRUE(result.runs.empty());
   EXPECT_EQ(result.distribution().total(), 0u);
 }
@@ -148,7 +149,7 @@ TEST(CampaignExecutor, RateZeroIsAHarnessErrorWithoutProvisioning) {
   TestPlan plan = quick_plan(3);
   plan.rate = 0;
   const TestbedPool::Stats before = TestbedPool::instance().stats();
-  const CampaignResult result = CampaignExecutor(plan, {2, true}).execute();
+  const CampaignResult result = CampaignExecutor(plan, {.threads = 2}).execute();
   const TestbedPool::Stats after = TestbedPool::instance().stats();
   EXPECT_EQ(after.acquires, before.acquires);
   ASSERT_EQ(result.runs.size(), 3u);
@@ -156,7 +157,7 @@ TEST(CampaignExecutor, RateZeroIsAHarnessErrorWithoutProvisioning) {
     EXPECT_EQ(run.outcome, Outcome::HarnessError);
     EXPECT_EQ(run.detail, "rate must be ≥ 1");
   }
-  const RunResult one = CampaignExecutor(plan, {1, true}).execute_one(7);
+  const RunResult one = CampaignExecutor(plan, {.threads = 1}).execute_one(7);
   EXPECT_EQ(one.outcome, Outcome::HarnessError);
 }
 
@@ -167,8 +168,8 @@ TEST(CampaignExecutor, ScenarioSelectionAffectsResults) {
   TestPlan during_boot = quick_plan(10);
   during_boot.scenario = "inject-during-boot";
   during_boot.phase = 1;
-  const CampaignResult a = CampaignExecutor(steady, {2, true}).execute();
-  const CampaignResult b = CampaignExecutor(during_boot, {2, true}).execute();
+  const CampaignResult a = CampaignExecutor(steady, {.threads = 2}).execute();
+  const CampaignResult b = CampaignExecutor(during_boot, {.threads = 2}).execute();
   // Same seeds, different lifecycle: the injection lands in a different
   // frame, so at minimum the timing observables must diverge somewhere.
   bool any_difference = false;

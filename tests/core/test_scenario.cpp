@@ -210,9 +210,12 @@ TEST(Scenario, IvshmemTrafficCampaignClassifiesCrossCellCorruption) {
   plan.phase = 2;
   plan.duration_ticks = 6'000;
   plan.seed = 0xC0FFEE;
-  const CampaignResult one = CampaignExecutor(plan, {1, false}).execute();
-  const CampaignResult four = CampaignExecutor(plan, {4, false}).execute();
-  const CampaignResult eight = CampaignExecutor(plan, {8, false}).execute();
+  const CampaignResult one =
+      CampaignExecutor(plan, {.threads = 1, .probe_recovery = false}).execute();
+  const CampaignResult four =
+      CampaignExecutor(plan, {.threads = 4, .probe_recovery = false}).execute();
+  const CampaignResult eight =
+      CampaignExecutor(plan, {.threads = 8, .probe_recovery = false}).execute();
   const OutcomeDistribution dist = one.distribution();
   EXPECT_GT(dist.count(Outcome::CrossCellCorruption), 0u);
   EXPECT_EQ(dist.count(Outcome::HarnessError), 0u);

@@ -175,9 +175,9 @@ TEST(SweepDriver, ExecutesEveryCellAndFoldsTheTotals) {
 }
 
 TEST(SweepDriver, CellAggregatesAreBitIdenticalAcrossThreadCounts) {
-  auto one = SweepDriver(small_spec(), {1, true}).execute();
-  auto four = SweepDriver(small_spec(), {4, true}).execute();
-  auto eight = SweepDriver(small_spec(), {8, true}).execute();
+  auto one = SweepDriver(small_spec(), {.threads = 1}).execute();
+  auto four = SweepDriver(small_spec(), {.threads = 4}).execute();
+  auto eight = SweepDriver(small_spec(), {.threads = 8}).execute();
   ASSERT_TRUE(one.is_ok() && four.is_ok() && eight.is_ok());
   for (const auto* other : {&four.value(), &eight.value()}) {
     ASSERT_EQ(one.value().cells.size(), other->cells.size());
@@ -227,7 +227,7 @@ TEST(CellPersistence, ExecuteCellCommitsLogThenMetaWithNoTempLitter) {
   { std::ofstream(cell_meta_path(log_path)) << "stale-fingerprint\n"; }
 
   std::uint32_t per_run_fires = 0;
-  auto aggregate = execute_cell(plan, log_path, {1, true}, "tagged",
+  auto aggregate = execute_cell(plan, log_path, {.threads = 1}, "tagged",
                                 [&per_run_fires](std::uint32_t) {
                                   ++per_run_fires;
                                 });
@@ -408,9 +408,9 @@ TEST(SweepDriver, DomainCellAggregatesAreBitIdenticalAcrossThreadCounts) {
   spec.runs = 3;
   spec.seed = 0xD0;
   spec.duration_ticks = 2'000;
-  auto one = SweepDriver(spec, {1, true}).execute();
-  auto four = SweepDriver(spec, {4, true}).execute();
-  auto eight = SweepDriver(spec, {8, true}).execute();
+  auto one = SweepDriver(spec, {.threads = 1}).execute();
+  auto four = SweepDriver(spec, {.threads = 4}).execute();
+  auto eight = SweepDriver(spec, {.threads = 8}).execute();
   ASSERT_TRUE(one.is_ok() && four.is_ok() && eight.is_ok());
   for (const auto* other : {&four.value(), &eight.value()}) {
     ASSERT_EQ(one.value().cells.size(), other->cells.size());

@@ -75,9 +75,10 @@ TEST(TestbedPool, MoveTransfersOwnership) {
   EXPECT_EQ(pool.stats().idle_slots, 1u);
 }
 
-// The reuse contract's perf half: after warm-up, returning a pooled
-// testbed to power-on state is pure state restoration — zero heap
-// allocations (arena rewinds and capacity-keeping clears only).
+// The reuse contract's perf half: after warm-up, restoring a pooled
+// testbed's power-on snapshot is pure state restoration — zero heap
+// allocations (arena rewinds, capacity-keeping truncations, a shared
+// config registry).
 TEST(TestbedPool, SteadyStateResetPerformsZeroHeapAllocations) {
   TestbedPool pool;
   const TestbedLease lease = pool.acquire("bananapi", "", bananapi_entry());
@@ -286,26 +287,25 @@ TEST(TestbedPool, ExecutorReusesSlotsAcrossRunsAndCampaigns) {
   EXPECT_LE(after.idle_slots, 2u);
 }
 
+// The oracle's fresh construction (execute_one) never touches the pool.
 TEST(TestbedPool, FreshModeBypassesThePool) {
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
-  plan.runs = 2;
   plan.duration_ticks = 200;
-  ExecutorConfig config;
-  config.threads = 1;
-  config.probe_recovery = false;
-  config.reuse_testbeds = false;
   const auto before = TestbedPool::instance().stats();
-  CampaignExecutor executor(plan, config);
-  (void)executor.execute();
+  const CampaignExecutor executor(plan, {.threads = 1, .probe_recovery = false});
+  (void)executor.execute_one(1);
+  (void)executor.execute_one(2);
   const auto after = TestbedPool::instance().stats();
   EXPECT_EQ(after.acquires, before.acquires);
+  EXPECT_EQ(after.run_resets, before.run_resets);
+  EXPECT_EQ(after.run_restores, before.run_restores);
 }
 
 TEST(TestbedPool, UnknownBoardStillReportsHarnessErrorPerRun) {
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
   plan.board = "no-such-board";
   plan.runs = 2;
-  CampaignExecutor executor(plan, {1, false});
+  CampaignExecutor executor(plan, {.threads = 1, .probe_recovery = false});
   const CampaignResult result = executor.execute();
   ASSERT_EQ(result.runs.size(), 2u);
   for (const RunResult& run : result.runs) {
@@ -318,7 +318,7 @@ TEST(TestbedPool, TuningBoardKeyOverridesPlanAndIsResolvedOnce) {
   TestPlan plan = find_scenario("freertos-steady")->make_plan();
   plan.board = "bananapi";
   plan.cell_tuning = "board quad-a7";
-  CampaignExecutor executor(plan, {1, false});
+  CampaignExecutor executor(plan, {.threads = 1, .probe_recovery = false});
   EXPECT_EQ(executor.board_name(), "quad-a7");
 }
 

@@ -14,6 +14,7 @@ constexpr std::uint64_t kConfigAddr = 0x4800'0000;
 class LifecycleTest : public ::testing::Test {
  protected:
   LifecycleTest() : hv_(board_), machine_(board_, hv_) {
+    hv_.snapshot_to(power_on_);
     EXPECT_TRUE(hv_.enable(make_root_cell_config()).is_ok());
     hv_.register_config(kConfigAddr, make_freertos_cell_config());
   }
@@ -34,6 +35,7 @@ class LifecycleTest : public ::testing::Test {
   Hypervisor hv_;
   Machine machine_;
   guest::FreeRtosImage freertos_;
+  Hypervisor::Snapshot power_on_;  ///< the hypervisor as constructed
 };
 
 TEST_F(LifecycleTest, StartBringsCpuOnlineNextTick) {
@@ -193,7 +195,7 @@ TEST_F(LifecycleTest, CellTableFollowsEveryOwnershipChange) {
   EXPECT_EQ(hv_.cell_on_cpu(1), hv_.find_cell(id));
   table_matches("restore");
 
-  hv_.reset();
+  hv_.restore_from(power_on_);
   EXPECT_EQ(hv_.cell_on_cpu(0), nullptr);
   table_matches("reset");
   ASSERT_TRUE(hv_.enable(make_root_cell_config()).is_ok());
@@ -206,6 +208,23 @@ TEST_F(LifecycleTest, CellTableFollowsEveryOwnershipChange) {
   ASSERT_EQ(call(Hypercall::CellDestroy, id), 0);
   EXPECT_EQ(hv_.cell_on_cpu(1), nullptr);
   table_matches("destroy unstarted");
+}
+
+// The config registry is part of the power-on state: after a power-on
+// restore, creating a cell from a config registered before it fails the
+// way it does on a hypervisor that never saw the config.
+TEST_F(LifecycleTest, PowerOnRestoreForgetsRegisteredConfigs) {
+  platform::BananaPiBoard fresh_board;
+  Hypervisor fresh(fresh_board);
+  ASSERT_TRUE(fresh.enable(make_root_cell_config()).is_ok());
+  const HvcResult unregistered = fresh.guest_hypercall(
+      0, static_cast<std::uint32_t>(Hypercall::CellCreate), kConfigAddr);
+  ASSERT_EQ(unregistered, kHvcEInval);
+
+  hv_.restore_from(power_on_);
+  ASSERT_TRUE(hv_.enable(make_root_cell_config()).is_ok());
+  EXPECT_EQ(call(Hypercall::CellCreate, kConfigAddr), unregistered);
+  EXPECT_EQ(hv_.find_cell(1), nullptr);
 }
 
 }  // namespace

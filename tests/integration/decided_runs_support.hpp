@@ -1,6 +1,7 @@
-// Shared by the decided-run suites: one-worker campaigns on the snapshot
-// path or an oracle, a field-by-field comparison of their results, and
-// the pool's decided-run counters over a stretch of a test.
+// Shared by the decided-run suites: one-worker campaigns on the
+// production path or the fresh oracle, a field-by-field comparison of
+// their results, and the pool's decided-run counters over a stretch of a
+// test.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "core/executor.hpp"
 #include "core/testbed_pool.hpp"
+#include "util/rng.hpp"
 
 namespace mcs::fi::decided {
 
@@ -18,20 +20,28 @@ struct Capture {
   std::string log;
 };
 
-enum class Mode { Fresh, ResetPerRun, Snapshot };
-
-inline Capture run_campaign(const TestPlan& plan, Mode mode, bool probe_recovery = true) {
-  ExecutorConfig config;
-  config.threads = 1;  // one slot: the shortcut counts are deterministic
-  config.probe_recovery = probe_recovery;
-  config.reuse_testbeds = mode != Mode::Fresh;
-  config.use_snapshots = mode == Mode::Snapshot;
-  CampaignExecutor executor(plan, config);
+/// The production path: pooled slot, rewind points, decided runs.
+inline Capture run_campaign(const TestPlan& plan, bool probe_recovery = true) {
+  // One slot: the shortcut counts are deterministic.
+  CampaignExecutor executor(plan, {.threads = 1, .probe_recovery = probe_recovery});
   Capture out;
   executor.set_progress([&out](std::uint32_t index, const RunResult& run) {
     out.log += run_log_line(index, run) + "\n";
   });
   out.result = executor.execute();
+  return out;
+}
+
+/// The oracle: every run whole on a freshly constructed testbed
+/// (CampaignExecutor::execute_one), with execute()'s run seeds.
+inline Capture fresh_campaign(const TestPlan& plan, bool probe_recovery = true) {
+  const CampaignExecutor executor(plan, {.threads = 1, .probe_recovery = probe_recovery});
+  Capture out;
+  util::SplitMix64 seeds(plan.seed);
+  for (std::uint32_t i = 0; i < plan.runs; ++i) {
+    out.result.runs.push_back(executor.execute_one(seeds.next()));
+    out.log += run_log_line(i, out.result.runs.back()) + "\n";
+  }
   return out;
 }
 

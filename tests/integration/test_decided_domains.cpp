@@ -4,13 +4,14 @@
 // in the window, or jumps to the next ladder rung and writes its dead
 // changes back; a live injection runs to the close.
 //
-// Every campaign here is compared with the reset-per-run oracle, which
-// always runs whole windows, on log lines and every RunResult field, on
-// both scenarios with a flat window and both boards. Rate 100 puts one
-// injecting call in a 60 000-tick window at arch_handle_trap, rate 50 two
-// (the rate that reaches the ladder). The last test checks the machine a
-// decided run leaves behind against the oracle's at the same tick, which
-// is where a lost write-back would show.
+// Every campaign here is compared with the fresh oracle
+// (CampaignExecutor::execute_one), which always runs whole windows, on
+// log lines and every RunResult field, on both scenarios with a flat
+// window and both boards. Rate 100 puts one injecting call in a 60 000-
+// tick window at arch_handle_trap, rate 50 two (the rate that reaches
+// the ladder). The last test checks the machine a decided run leaves
+// behind against the oracle's at the same tick, which is where a lost
+// write-back would show.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -28,7 +29,7 @@ namespace {
 
 using decided::Capture;
 using decided::expect_identical;
-using decided::Mode;
+using decided::fresh_campaign;
 using decided::run_campaign;
 using decided::Shortcuts;
 using decided::shortcuts_since;
@@ -60,12 +61,12 @@ std::pair<Shortcuts, Shortcuts> sweep_domain(FaultDomain domain) {
                                   std::string(fault_domain_name(domain)) + ", rate " +
                                   std::to_string(rate);
         const TestbedPool::Stats before = TestbedPool::instance().stats();
-        const Capture snapshot = run_campaign(plan, Mode::Snapshot);
+        const Capture snapshot = run_campaign(plan);
         const Shortcuts cell = shortcuts_since(before);
         Shortcuts& sum = rate == kMediumRate ? taken.first : taken.second;
         sum.golden_results += cell.golden_results;
         sum.ladder_restores += cell.ladder_restores;
-        expect_identical(run_campaign(plan, Mode::ResetPerRun), snapshot, label);
+        expect_identical(fresh_campaign(plan), snapshot, label);
       }
     }
   }
@@ -144,7 +145,7 @@ TEST(DecidedDomains, DeadChangesCarryAcrossLadderRungs) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       plan.seed = seed;
       const TestbedPool::Stats before = TestbedPool::instance().stats();
-      (void)run_campaign(plan, Mode::Snapshot);
+      (void)run_campaign(plan);
       const Shortcuts taken = shortcuts_since(before);
       if (taken.golden_results != 1 || taken.ladder_restores == 0) continue;
       ++compared;

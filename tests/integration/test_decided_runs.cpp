@@ -10,7 +10,7 @@
 //     the window is skipped.
 //
 // Both shortcuts must be invisible: every campaign here is compared with
-// the reset-per-run oracle (or fresh construction), which always runs
+// the fresh oracle (CampaignExecutor::execute_one), which always runs
 // whole windows. The per-register sweep also pins which registers each
 // entry point reads, since the masked verdict rests on those reads. The
 // other domains' verdicts are in test_decided_domains.cpp.
@@ -31,7 +31,7 @@ namespace {
 using arch::Reg;
 using decided::Capture;
 using decided::expect_identical;
-using decided::Mode;
+using decided::fresh_campaign;
 using decided::run_campaign;
 using decided::Shortcuts;
 using decided::shortcuts_since;
@@ -79,7 +79,7 @@ std::vector<bool> masked_verdicts(const TestPlan& plan, Testbed& testbed) {
 using Pattern = std::function<std::optional<bool>(Reg)>;
 
 /// Every register × {freertos-steady, osek-cell} × {bananapi, quad-a7} at
-/// `target`: the snapshot path matches the reset-per-run oracle, and each
+/// `target`: the production path matches the fresh oracle, and each
 /// run's masked verdict follows `pattern` (when given). Returns the
 /// shortcuts the snapshot campaigns took.
 Shortcuts sweep_registers(jh::HookPoint target, const Pattern& pattern,
@@ -95,8 +95,7 @@ Shortcuts sweep_registers(jh::HookPoint target, const Pattern& pattern,
         const std::string label = scenario + " on " + board + ", " +
                                   std::string(jh::hook_point_name(target)) +
                                   ", " + std::string(arch::reg_name(reg));
-        expect_identical(run_campaign(plan, Mode::ResetPerRun),
-                         run_campaign(plan, Mode::Snapshot), label);
+        expect_identical(fresh_campaign(plan), run_campaign(plan), label);
         if (!pattern) continue;
         const std::optional<bool> want = pattern(reg);
         if (!want.has_value()) continue;
@@ -166,11 +165,11 @@ TEST(DecidedRuns, SteadyPlanTakesBothShortcuts) {
   const TestPlan plan = steady_plan();
   TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
-  const Capture warm = run_campaign(plan, Mode::Snapshot);
+  const Capture warm = run_campaign(plan);
   const Shortcuts taken = shortcuts_since(before);
   EXPECT_GT(taken.golden_results, 0u);
   EXPECT_GT(taken.panic_stops, 0u);
-  expect_identical(run_campaign(plan, Mode::Fresh), warm, "12-run steady plan");
+  expect_identical(fresh_campaign(plan), warm, "12-run steady plan");
 }
 
 TEST(DecidedRuns, SecondInjectionInsideTheWindowClimbsTheLadder) {
@@ -182,7 +181,7 @@ TEST(DecidedRuns, SecondInjectionInsideTheWindowClimbsTheLadder) {
   plan.fault_registers = {Reg::R7};
   TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
-  const Capture warm = run_campaign(plan, Mode::Snapshot);
+  const Capture warm = run_campaign(plan);
   const Shortcuts taken = shortcuts_since(before);
   EXPECT_EQ(taken.golden_results, plan.runs);
   std::uint64_t later_injections = 0;
@@ -192,7 +191,7 @@ TEST(DecidedRuns, SecondInjectionInsideTheWindowClimbsTheLadder) {
   }
   // One rung per later injection, learning run included.
   EXPECT_EQ(taken.ladder_restores, later_injections);
-  expect_identical(run_campaign(plan, Mode::Fresh), warm, "rate 1");
+  expect_identical(fresh_campaign(plan), warm, "rate 1");
 }
 
 TEST(DecidedRuns, CachedResultSurvivesNeitherAnotherCaptureNorAProbeChange) {
@@ -207,22 +206,22 @@ TEST(DecidedRuns, CachedResultSurvivesNeitherAnotherCaptureNorAProbeChange) {
 
   TestbedPool::instance().clear();
   const TestbedPool::Stats before = TestbedPool::instance().stats();
-  const Capture first = run_campaign(plan, Mode::Snapshot);
+  const Capture first = run_campaign(plan);
   EXPECT_GT(shortcuts_since(before).golden_results, 0u);
-  const Capture fresh = run_campaign(plan, Mode::Fresh);
+  const Capture fresh = fresh_campaign(plan);
   expect_identical(fresh, first, "learning campaign");
   EXPECT_NE(fresh.log.find("shutdown_reclaimed=yes"), std::string::npos);
 
   // A capture under another rewind key on the same slot forgets the result.
-  expect_identical(run_campaign(other_key, Mode::Fresh),
-                   run_campaign(other_key, Mode::Snapshot), "other rewind key");
-  expect_identical(fresh, run_campaign(plan, Mode::Snapshot), "back on the key");
+  expect_identical(fresh_campaign(other_key),
+                   run_campaign(other_key), "other rewind key");
+  expect_identical(fresh, run_campaign(plan), "back on the key");
 
   // The same point with the probe off must not read the probed result.
-  expect_identical(run_campaign(plan, Mode::Fresh, /*probe_recovery=*/false),
-                   run_campaign(plan, Mode::Snapshot, /*probe_recovery=*/false),
+  expect_identical(fresh_campaign(plan, /*probe_recovery=*/false),
+                   run_campaign(plan, /*probe_recovery=*/false),
                    "probe off");
-  expect_identical(fresh, run_campaign(plan, Mode::Snapshot), "probe back on");
+  expect_identical(fresh, run_campaign(plan), "probe back on");
 }
 
 TEST(DecidedRuns, CaptureAndResetForgetWhatThePointLearned) {

@@ -1,14 +1,15 @@
-// Snapshot equivalence for the warm-start campaign executor.
+// Restored ≡ fresh: the equivalence suite of the campaign executor.
 //
-// Boot-once/restore-per-run may only ever be an *optimisation*: a
-// campaign whose runs are provisioned by TestbedSnapshot restore must be
-// bit-identical to the same campaign on build-per-run fresh construction
-// and on checkout/reset-per-run pooling — same run-log lines, same
-// outcomes and details, same aggregates — on every scenario, every board
-// variant and every thread count. This suite pins that, checks the
-// restore path is actually exercised (not silently falling back to
-// reset + boot), and pins the sweep driver's interrupt/resume
-// byte-identity with snapshots on and off.
+// Pooled slots, power-on restores, rewind points and decided runs may
+// only ever be an *optimisation*: a campaign must be bit-identical to its
+// oracle, every run whole on a freshly constructed testbed
+// (CampaignExecutor::execute_one) — same run-log lines, same outcomes and
+// details, same aggregates — on every scenario, every board variant,
+// every thread count and on slots other campaigns used first. This suite
+// pins that, checks the restore path is actually exercised (not silently
+// falling back to power-on + boot), pins the sweep driver's
+// interrupt/resume byte-identity, and compares every run log of a
+// five-domain rewind grid with the oracle's lines.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "core/sweep.hpp"
 #include "core/testbed_pool.hpp"
 #include "hypervisor/cell_config.hpp"
+#include "util/rng.hpp"
 
 namespace mcs::fi {
 namespace {
@@ -43,21 +45,30 @@ TestPlan snapshot_plan(const std::string& scenario, const std::string& board) {
   return plan;
 }
 
-enum class Mode { Fresh, Pooled, Snapshot };
-
-CampaignCapture run_campaign(const TestPlan& plan, Mode mode, unsigned threads) {
+/// The production path: pooled slots, rewind points, decided runs.
+CampaignCapture run_campaign(const TestPlan& plan, unsigned threads) {
   CampaignCapture capture;
-  ExecutorConfig config;
-  config.threads = threads;
-  config.tick_policy = jh::TickPolicy::EventDriven;
-  config.reuse_testbeds = mode != Mode::Fresh;
-  config.use_snapshots = mode == Mode::Snapshot;
-  CampaignExecutor executor(plan, config);
+  CampaignExecutor executor(plan, {.threads = threads});
   analysis::LogSink sink;
   executor.set_progress([&sink](std::uint32_t index, const RunResult& run) {
     sink.record(index, run);
   });
   capture.result = executor.execute();
+  capture.log_text = sink.text();
+  capture.aggregate = sink.aggregate();
+  return capture;
+}
+
+/// The oracle: execute()'s run seeds, each run on a fresh testbed.
+CampaignCapture fresh_campaign(const TestPlan& plan) {
+  CampaignCapture capture;
+  const CampaignExecutor executor(plan);
+  analysis::LogSink sink;
+  util::SplitMix64 seeds(plan.seed);
+  for (std::uint32_t i = 0; i < plan.runs; ++i) {
+    capture.result.runs.push_back(executor.execute_one(seeds.next()));
+    sink.record(i, capture.result.runs.back());
+  }
   capture.log_text = sink.text();
   capture.aggregate = sink.aggregate();
   return capture;
@@ -101,17 +112,15 @@ void expect_identical(const CampaignCapture& fresh, const CampaignCapture& warm,
 }
 
 TEST(SnapshotEquivalence, RestoredMatchesFreshOnEveryScenarioBoardAndThreadCount) {
-  // {scenario} × {board} × {1, 4, 8} threads. The fresh baseline is the
-  // serial build-per-run engine; thread-count independence of the fresh
-  // path is pinned by the tick-equivalence suite, so one baseline per
-  // (scenario, board) suffices.
+  // {scenario} × {board} × {1, 4, 8} threads against one oracle per
+  // (scenario, board): the oracle has no threads and no pool.
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
     if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
       const TestPlan plan = snapshot_plan(scenario, board);
-      const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
+      const CampaignCapture fresh = fresh_campaign(plan);
       for (const unsigned threads : {1u, 4u, 8u}) {
-        const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, threads);
+        const CampaignCapture warm = run_campaign(plan, threads);
         expect_identical(fresh, warm,
                          scenario + " on " + board + ", " +
                              std::to_string(threads) + " threads");
@@ -120,16 +129,15 @@ TEST(SnapshotEquivalence, RestoredMatchesFreshOnEveryScenarioBoardAndThreadCount
   }
 }
 
-TEST(SnapshotEquivalence, RestoredMatchesPooledResetPerRun) {
-  // The two warm modes must agree with each other too (they share slots
-  // only within a mode: snapshot slots carry the scenario in their key).
-  for (const std::string& scenario :
-       {std::string("freertos-steady"), std::string("osek-cell")}) {
-    const TestPlan plan = snapshot_plan(scenario, "bananapi");
-    const CampaignCapture pooled = run_campaign(plan, Mode::Pooled, 2);
-    const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, 2);
-    expect_identical(pooled, warm, scenario + " pooled vs snapshot");
-  }
+TEST(SnapshotEquivalence, CrossScenarioSlotReuseStaysIdentical) {
+  // Sweeps interleave campaigns on one pool: run campaign B after
+  // campaign A dirtied it and require B to still match its oracle.
+  const TestPlan first = snapshot_plan("ivshmem-traffic", "quad-a7");
+  const TestPlan second = snapshot_plan("dual-cell", "quad-a7");
+  const CampaignCapture baseline = fresh_campaign(second);
+  (void)run_campaign(first, 1);  // dirty the pool
+  expect_identical(baseline, run_campaign(second, 1),
+                   "dual-cell after ivshmem-traffic slots");
 }
 
 TEST(SnapshotEquivalence, SteadyScenariosActuallyRestore) {
@@ -143,7 +151,7 @@ TEST(SnapshotEquivalence, SteadyScenariosActuallyRestore) {
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
   plan.runs = 6;
-  (void)run_campaign(plan, Mode::Snapshot, 1);
+  (void)run_campaign(plan, 1);
   const TestbedPool::Stats after = TestbedPool::instance().stats();
   EXPECT_GE(after.captures, before.captures + 1);
   EXPECT_GE(after.run_restores, before.run_restores + plan.runs - 1);
@@ -156,7 +164,7 @@ TEST(SnapshotEquivalence, InjectDuringBootNeverRestores) {
   // injected boot *is* the experiment. Every run must be a full reset.
   const TestbedPool::Stats before = TestbedPool::instance().stats();
   const TestPlan plan = snapshot_plan("inject-during-boot", "bananapi");
-  (void)run_campaign(plan, Mode::Snapshot, 1);
+  (void)run_campaign(plan, 1);
   const TestbedPool::Stats after = TestbedPool::instance().stats();
   EXPECT_EQ(after.run_restores, before.run_restores);
   EXPECT_GE(after.run_resets, before.run_resets + plan.runs);
@@ -166,15 +174,15 @@ TEST(SnapshotEquivalence, SnapshotCampaignsExerciseFailingRuns) {
   // The identity is only meaningful if the plans actually reach the
   // failure states whose residue a bad restore would leak.
   const TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
-  const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, 1);
+  const CampaignCapture warm = run_campaign(plan, 1);
   const OutcomeDistribution dist = warm.result.distribution();
   EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
       << "plan produced no failures; tighten rate/phase";
 }
 
 TEST(SnapshotEquivalence, DomainFaultCampaignsRestoreIdentically) {
-  // The unified injection layer: every non-register fault domain, fresh
-  // build-per-run baseline vs snapshot restore at {1, 4, 8} threads. A
+  // The unified injection layer: every non-register fault domain, the
+  // fresh oracle vs the production path at {1, 4, 8} threads. A
   // restore that leaked injected GIC/device/DRAM state into the next run
   // breaks the bit-identity here.
   for (const auto domain : {FaultDomain::Gic, FaultDomain::IrqDelivery,
@@ -182,9 +190,9 @@ TEST(SnapshotEquivalence, DomainFaultCampaignsRestoreIdentically) {
     TestPlan plan = snapshot_plan("freertos-steady", "bananapi");
     plan.fault_domain = domain;
     const std::string label(fault_domain_name(domain));
-    const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
+    const CampaignCapture fresh = fresh_campaign(plan);
     for (const unsigned threads : {1u, 4u, 8u}) {
-      const CampaignCapture warm = run_campaign(plan, Mode::Snapshot, threads);
+      const CampaignCapture warm = run_campaign(plan, threads);
       expect_identical(fresh, warm,
                        label + " domain, " + std::to_string(threads) +
                            " threads");
@@ -200,15 +208,15 @@ TEST(SnapshotEquivalence, DomainTuningSelectsTheDomainThroughTheExecutor) {
   direct.fault_domain = FaultDomain::Gic;
   TestPlan tuned = snapshot_plan("freertos-steady", "bananapi");
   tuned.cell_tuning = "fault domain gic";
-  const CampaignCapture a = run_campaign(direct, Mode::Fresh, 1);
-  const CampaignCapture b = run_campaign(tuned, Mode::Fresh, 1);
+  const CampaignCapture a = fresh_campaign(direct);
+  const CampaignCapture b = fresh_campaign(tuned);
   EXPECT_EQ(a.log_text, b.log_text);
   EXPECT_NE(a.log_text.find("domain=gic"), std::string::npos);
 
   // An unknown domain name in the tuning is a HarnessError, not UB.
   TestPlan bad = snapshot_plan("freertos-steady", "bananapi");
   bad.cell_tuning = "fault domain warp-core";
-  const CampaignCapture broken = run_campaign(bad, Mode::Fresh, 1);
+  const CampaignCapture broken = fresh_campaign(bad);
   EXPECT_EQ(broken.result.distribution().count(Outcome::HarnessError),
             broken.result.runs.size());
 }
@@ -250,7 +258,7 @@ TEST(SnapshotEquivalence, DramFaultsNeverSurviveRestore) {
   }
 }
 
-// --- sweep resume byte-identity with snapshots on and off -------------------
+// --- sweeps: resume byte-identity, and run logs against the oracle ----------
 
 std::string render_sweep_report(const SweepResult& sweep) {
   std::vector<analysis::ComparisonColumn> columns;
@@ -259,6 +267,13 @@ std::string render_sweep_report(const SweepResult& sweep) {
     columns.push_back({cell.id, cell.aggregate});
   }
   return analysis::render_comparison_report(columns, "snapshot-sweep");
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 SweepSpec small_sweep(const std::string& log_dir) {
@@ -276,11 +291,7 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
       std::filesystem::path(testing::TempDir()) / "mcs_snapshot_sweep";
   std::filesystem::remove_all(dir);
 
-  ExecutorConfig warm;
-  warm.threads = 2;
-  warm.reuse_testbeds = true;
-  warm.use_snapshots = true;
-
+  const ExecutorConfig warm{.threads = 2};
   SweepDriver driver(small_sweep(dir.string()), warm);
   auto first = driver.execute();
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
@@ -290,12 +301,9 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   // resume with a different thread count — the resumed report must be
   // byte-identical, and untouched cells must resume via the fingerprint
   // path (not re-execute).
-  const std::string cut = (dir / "freertos-steady_r50.runlog").string();
+  const std::filesystem::path cut = dir / "freertos-steady_r50.runlog";
   {
-    std::ifstream in(cut);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str().substr(0, 40);
+    const std::string text = read_file(cut).substr(0, 40);
     std::ofstream out(cut, std::ios::trunc);
     out << text;
   }
@@ -311,16 +319,59 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   EXPECT_EQ(resumed.value().executed, 2u);
   EXPECT_EQ(render_sweep_report(resumed.value()), warm_report);
 
-  // The same sweep with snapshots off agrees byte for byte.
-  const std::filesystem::path nosnap_dir = dir / "nosnap";
-  ExecutorConfig nosnap = warm;
-  nosnap.use_snapshots = false;
-  SweepDriver nosnap_driver(small_sweep(nosnap_dir.string()), nosnap);
-  auto plain = nosnap_driver.execute();
-  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
-  EXPECT_EQ(render_sweep_report(plain.value()), warm_report);
+  // And every cell folded from the oracle's runs agrees byte for byte.
+  SweepResult oracle = first.value();
+  for (SweepCellResult& cell : oracle.cells) {
+    cell.aggregate = fresh_campaign(cell.plan).aggregate;
+  }
+  EXPECT_EQ(render_sweep_report(oracle), warm_report);
 
   std::filesystem::remove_all(dir);
+}
+
+/// A five-domain rewind grid through SweepDriver at 2 workers, every
+/// cell's .runlog byte-compared with the oracle's run-log lines. Runs
+/// decided against a golden suffix (the golden result, a ladder jump) or
+/// on a panicked machine must leave each line as the whole window would.
+void expect_run_logs_match_the_oracle(const std::string& spec_text,
+                                      const std::string& dir_name) {
+  auto spec = parse_sweep_spec(spec_text);
+  ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
+  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / dir_name;
+  std::filesystem::remove_all(dir);
+  spec.value().log_dir = dir.string();
+
+  auto swept = SweepDriver(spec.value(), {.threads = 2}).execute();
+  ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
+  ASSERT_EQ(swept.value().cells.size(), 30u);
+  for (const SweepCellResult& cell : swept.value().cells) {
+    const CampaignExecutor oracle(cell.plan);
+    util::SplitMix64 seeds(cell.plan.seed);
+    std::string want;
+    for (std::uint32_t i = 0; i < cell.plan.runs; ++i) {
+      want += run_log_line(i, oracle.execute_one(seeds.next())) + "\n";
+    }
+    EXPECT_EQ(read_file(cell.log_path), want) << cell.id;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+constexpr const char* kRewindGridSpec =
+    "scenario freertos-steady inject-during-boot osek-cell\n"
+    "rate 100 50\n"
+    "domain register gic irq-delivery device-mmio dram\n"
+    "runs 4\n";
+
+TEST(SnapshotEquivalence, RewindGridRunLogsMatchTheOracleMidWindow) {
+  // At the default window each point sits mid-window, before the first
+  // injecting call.
+  expect_run_logs_match_the_oracle(kRewindGridSpec, "mcs_rewind_grid");
+}
+
+TEST(SnapshotEquivalence, RewindGridRunLogsMatchTheOracleAtTheClose) {
+  // At 2 000 ticks no run injects, so each point is the window close.
+  expect_run_logs_match_the_oracle(std::string(kRewindGridSpec) + "duration 2000\n",
+                                   "mcs_rewind_grid_close");
 }
 
 // --- rewind points -----------------------------------------------------------
@@ -361,17 +412,15 @@ ProvisionDelta provisioning_of(Body&& body) {
 }
 
 void expect_rewinds_identically(const TestPlan& plan, const std::string& label) {
-  const CampaignCapture fresh = run_campaign(plan, Mode::Fresh, 1);
-  expect_identical(fresh, run_campaign(plan, Mode::Pooled, 1),
-                   label + ", reset per run");
+  const CampaignCapture fresh = fresh_campaign(plan);
   for (const unsigned threads : {1u, 4u, 8u}) {
-    expect_identical(fresh, run_campaign(plan, Mode::Snapshot, threads),
+    expect_identical(fresh, run_campaign(plan, threads),
                      label + ", rewind points, " + std::to_string(threads) +
                          " threads");
   }
 }
 
-TEST(SnapshotEquivalence, RewindPointsMatchFreshAndResetPerRunEverywhere) {
+TEST(SnapshotEquivalence, RewindPointsMatchFreshEverywhere) {
   for (const std::string& scenario : ScenarioRegistry::instance().names()) {
     if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
     for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
@@ -389,7 +438,7 @@ TEST(SnapshotEquivalence, MidWindowRewindPointsAreExercised) {
   const TestPlan plan = rewind_plan("freertos-steady", "bananapi");
   CampaignCapture warm;
   const ProvisionDelta delta =
-      provisioning_of([&] { warm = run_campaign(plan, Mode::Snapshot, 1); });
+      provisioning_of([&] { warm = run_campaign(plan, 1); });
   EXPECT_EQ(delta.resets, 1u);
   EXPECT_EQ(delta.captures, 2u);
   EXPECT_EQ(delta.restores, plan.runs - 1);
@@ -404,7 +453,7 @@ TEST(SnapshotEquivalence, InjectDuringBootRewindsWhenTheFirstInjectionIsLate) {
   const TestPlan plan = rewind_plan("inject-during-boot", "bananapi");
   ASSERT_TRUE(find_scenario(plan.scenario)->arm_during_boot(plan));
   const ProvisionDelta delta =
-      provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+      provisioning_of([&] { (void)run_campaign(plan, 1); });
   EXPECT_EQ(delta.resets, 1u);
   EXPECT_EQ(delta.restores, plan.runs - 1);
   expect_rewinds_identically(plan, "inject-during-boot, call 4");
@@ -415,7 +464,7 @@ TEST(SnapshotEquivalence, WindowClosingBeforeTheFirstInjectionRewindsToTheClose)
   plan.phase = 1'000;  // the window holds ~6 CPU 1 traps
   CampaignCapture warm;
   const ProvisionDelta delta =
-      provisioning_of([&] { warm = run_campaign(plan, Mode::Snapshot, 1); });
+      provisioning_of([&] { warm = run_campaign(plan, 1); });
   EXPECT_EQ(delta.captures, 2u);  // window open, then the close
   EXPECT_EQ(delta.restores, plan.runs - 1);
   for (const RunResult& run : warm.result.runs) EXPECT_EQ(run.injections, 0u);
@@ -426,7 +475,7 @@ TEST(SnapshotEquivalence, PhaseOneHasNothingToStep) {
   TestPlan plan = rewind_plan("freertos-steady", "bananapi");
   plan.phase = 1;
   const ProvisionDelta delta =
-      provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+      provisioning_of([&] { (void)run_campaign(plan, 1); });
   EXPECT_EQ(delta.captures, 1u);  // window open only
   EXPECT_EQ(delta.restores, plan.runs - 1);
   expect_rewinds_identically(plan, "phase 1");
@@ -441,7 +490,7 @@ TEST(SnapshotEquivalence, StructuredWindowsRewindToWindowOpen) {
         std::pair<std::string, std::string>{"dual-cell", "bananapi"}}) {
     const TestPlan plan = rewind_plan(scenario, board);
     const ProvisionDelta delta =
-        provisioning_of([&] { (void)run_campaign(plan, Mode::Snapshot, 1); });
+        provisioning_of([&] { (void)run_campaign(plan, 1); });
     EXPECT_EQ(delta.captures, 1u) << scenario;
     EXPECT_EQ(delta.restores, plan.runs - 1) << scenario;
     expect_rewinds_identically(plan, scenario + " on " + board);
@@ -459,7 +508,7 @@ TEST(SnapshotEquivalence, FiveFaultDomainsShareOneSlotAndOnePoint) {
     for (const std::string& domain : domains) {
       TestPlan plan = rewind_plan("freertos-steady", "bananapi");
       plan.cell_tuning = "fault domain " + domain;
-      warm.push_back(run_campaign(plan, Mode::Snapshot, 1));
+      warm.push_back(run_campaign(plan, 1));
     }
   });
   EXPECT_EQ(delta.creates, 1u);
@@ -468,7 +517,7 @@ TEST(SnapshotEquivalence, FiveFaultDomainsShareOneSlotAndOnePoint) {
   for (std::size_t i = 0; i < domains.size(); ++i) {
     TestPlan plan = rewind_plan("freertos-steady", "bananapi");
     plan.cell_tuning = "fault domain " + domains[i];
-    expect_identical(run_campaign(plan, Mode::Fresh, 1), warm[i], domains[i]);
+    expect_identical(fresh_campaign(plan), warm[i], domains[i]);
   }
 }
 

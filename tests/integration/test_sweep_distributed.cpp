@@ -70,7 +70,7 @@ class DistributedSweepTest : public testing::Test {
     // byte for byte.
     const fs::path ref_dir = scratch_ / "reference";
     auto reference =
-        fi::SweepDriver(full_grid_spec(ref_dir.string()), {2, true}).execute();
+        fi::SweepDriver(full_grid_spec(ref_dir.string()), {.threads = 2}).execute();
     ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
     cells_total_ = reference.value().cells.size();
     reference_report_ = report_of(reference.value());
@@ -110,7 +110,7 @@ TEST_F(DistributedSweepTest, TwoAndFourForkedWorkersMatchSingleProcess) {
     // Each worker is its own process with its own sharded executor; one
     // executor thread per worker keeps the fork the only parallelism.
     auto result = fi::run_distributed_sweep(full_grid_spec(log_dir),
-                                            {1, true}, options);
+                                            {.threads = 1}, options);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     // The coordinator merges from worker logs; with live workers its
     // backstop never executes anything itself.
@@ -148,7 +148,7 @@ TEST_F(DistributedSweepTest, DeadWorkersStaleLeaseIsStolenAndReExecuted) {
   fi::SweepWorkerConfig config;
   config.worker_id = "rescuer";
   config.lease_ttl = 100ms;
-  fi::SweepWorker rescuer(spec, {1, true}, config);
+  fi::SweepWorker rescuer(spec, {.threads = 1}, config);
   auto stats = rescuer.run();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
   EXPECT_GE(stats.value().stolen, 1u);
@@ -156,7 +156,7 @@ TEST_F(DistributedSweepTest, DeadWorkersStaleLeaseIsStolenAndReExecuted) {
 
   // The re-executed victim cell — and the whole merged grid — must be
   // indistinguishable from a run where nobody ever died.
-  auto merged = fi::SweepDriver(spec, {4, true}).execute();
+  auto merged = fi::SweepDriver(spec, {.threads = 4}).execute();
   ASSERT_TRUE(merged.is_ok());
   EXPECT_EQ(merged.value().resumed, cells_total_);
   EXPECT_EQ(merged.value().executed, 0u);
@@ -180,7 +180,7 @@ TEST_F(DistributedSweepTest, WorkerKilledMidFlightIsRescuedByAJoiningWorker) {
     fi::SweepWorkerConfig config;
     config.worker_id = "victim";
     config.lease_ttl = std::chrono::milliseconds(3'600'000);
-    fi::SweepWorker worker(spec, {1, true}, config);
+    fi::SweepWorker worker(spec, {.threads = 1}, config);
     (void)worker.run();
     std::_Exit(0);
   }
@@ -194,12 +194,12 @@ TEST_F(DistributedSweepTest, WorkerKilledMidFlightIsRescuedByAJoiningWorker) {
   fi::SweepWorkerConfig config;
   config.worker_id = "rescuer";
   config.lease_ttl = 0ms;
-  fi::SweepWorker rescuer(spec, {1, true}, config);
+  fi::SweepWorker rescuer(spec, {.threads = 1}, config);
   auto stats = rescuer.run();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
   EXPECT_EQ(stats.value().executed + stats.value().observed, cells_total_);
 
-  auto merged = fi::SweepDriver(spec, {2, true}).execute();
+  auto merged = fi::SweepDriver(spec, {.threads = 2}).execute();
   ASSERT_TRUE(merged.is_ok());
   EXPECT_EQ(merged.value().resumed, cells_total_);
   EXPECT_EQ(report_of(merged.value()), reference_report_);
@@ -221,7 +221,7 @@ TEST_F(DistributedSweepTest, ConcurrentWorkersOnThreadsSplitWithoutOverlap) {
                                   util::Status& status) {
     fi::SweepWorkerConfig config;
     config.worker_id = id;
-    fi::SweepWorker worker(spec, {1, true}, config);
+    fi::SweepWorker worker(spec, {.threads = 1}, config);
     auto result = worker.run();
     if (result.is_ok()) {
       stats = result.value();
@@ -243,7 +243,7 @@ TEST_F(DistributedSweepTest, ConcurrentWorkersOnThreadsSplitWithoutOverlap) {
   EXPECT_EQ(stats_a.executed + stats_a.observed, cells_total_);
   EXPECT_EQ(stats_b.executed + stats_b.observed, cells_total_);
 
-  auto merged = fi::SweepDriver(spec, {2, true}).execute();
+  auto merged = fi::SweepDriver(spec, {.threads = 2}).execute();
   ASSERT_TRUE(merged.is_ok());
   EXPECT_EQ(merged.value().resumed, cells_total_);
   EXPECT_EQ(report_of(merged.value()), reference_report_);

@@ -76,7 +76,7 @@ TEST(RoundTrip, DuplicateProgressDeliveriesDoNotSkewTheAggregate) {
   plan.runs = 5;
   plan.duration_ticks = 2'000;
 
-  fi::CampaignExecutor executor(plan, {2, true});
+  fi::CampaignExecutor executor(plan, {.threads = 2});
   analysis::LogSink clean;
   analysis::LogSink noisy;
   executor.set_progress(
@@ -119,7 +119,7 @@ TEST(SweepResume, InterruptedSweepResumesToAByteIdenticalReport) {
   std::filesystem::remove_all(dir);
 
   // The uninterrupted reference run.
-  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {4, true}).execute();
+  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {.threads = 4}).execute();
   ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
   ASSERT_EQ(fresh.value().executed, 4u);
   const std::string fresh_report = report_of(fresh.value());
@@ -145,7 +145,7 @@ TEST(SweepResume, InterruptedSweepResumesToAByteIdenticalReport) {
   // the completed ones rebuild from their logs — and the report is
   // byte-identical to the uninterrupted run's.
   auto resumed =
-      fi::SweepDriver(resume_spec(dir.string()), {1, true}).execute();
+      fi::SweepDriver(resume_spec(dir.string()), {.threads = 1}).execute();
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   EXPECT_EQ(resumed.value().resumed, 2u);
   EXPECT_EQ(resumed.value().executed, 2u);
@@ -158,7 +158,7 @@ TEST(SweepResume, InterruptedSweepResumesToAByteIdenticalReport) {
   expect_same_aggregate(fresh.value().total, resumed.value().total, "total");
 
   // A second re-invocation finds every cell complete and runs nothing.
-  auto again = fi::SweepDriver(resume_spec(dir.string()), {8, true}).execute();
+  auto again = fi::SweepDriver(resume_spec(dir.string()), {.threads = 8}).execute();
   ASSERT_TRUE(again.is_ok());
   EXPECT_EQ(again.value().resumed, 4u);
   EXPECT_EQ(again.value().executed, 0u);
@@ -172,7 +172,7 @@ TEST(SweepResume, ChangedSpecReExecutesInsteadOfServingStaleLogs) {
       std::filesystem::path(testing::TempDir()) / "mcs_sweep_staleness";
   std::filesystem::remove_all(dir);
 
-  auto first = fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+  auto first = fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(first.is_ok());
   ASSERT_EQ(first.value().executed, 4u);
 
@@ -182,7 +182,7 @@ TEST(SweepResume, ChangedSpecReExecutesInsteadOfServingStaleLogs) {
   // experiment's data wearing this one's id.
   fi::SweepSpec reseeded = resume_spec(dir.string());
   reseeded.seed = 0xBAD5EED;
-  auto second = fi::SweepDriver(reseeded, {2, true}).execute();
+  auto second = fi::SweepDriver(reseeded, {.threads = 2}).execute();
   ASSERT_TRUE(second.is_ok());
   EXPECT_EQ(second.value().resumed, 0u);
   EXPECT_EQ(second.value().executed, 4u);
@@ -190,7 +190,7 @@ TEST(SweepResume, ChangedSpecReExecutesInsteadOfServingStaleLogs) {
   // And a changed duration re-executes too.
   fi::SweepSpec longer = resume_spec(dir.string());
   longer.duration_ticks = 25'000;
-  auto third = fi::SweepDriver(longer, {2, true}).execute();
+  auto third = fi::SweepDriver(longer, {.threads = 2}).execute();
   ASSERT_TRUE(third.is_ok());
   EXPECT_EQ(third.value().resumed, 0u);
 
@@ -208,7 +208,7 @@ TEST(SweepResume, TornMetaSidecarReExecutesInsteadOfBlockingResume) {
       std::filesystem::path(testing::TempDir()) / "mcs_sweep_torn_meta";
   std::filesystem::remove_all(dir);
 
-  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(fresh.is_ok());
   const std::string fresh_report = report_of(fresh.value());
 
@@ -224,7 +224,7 @@ TEST(SweepResume, TornMetaSidecarReExecutesInsteadOfBlockingResume) {
       << fingerprint.substr(0, fingerprint.size() / 2);
 
   auto resumed =
-      fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+      fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(resumed.is_ok());
   EXPECT_EQ(resumed.value().executed, 1u);  // only the torn-meta cell
   EXPECT_EQ(resumed.value().resumed, 3u);
@@ -243,7 +243,7 @@ void expect_empty_file_reexecutes(const std::string& dir_name,
       std::filesystem::path(testing::TempDir()) / dir_name;
   std::filesystem::remove_all(dir);
 
-  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(fresh.is_ok());
   const std::string fresh_report = report_of(fresh.value());
 
@@ -254,7 +254,7 @@ void expect_empty_file_reexecutes(const std::string& dir_name,
   std::filesystem::resize_file(empty_meta ? meta : log, 0);
 
   auto resumed =
-      fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+      fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(resumed.is_ok());
   EXPECT_EQ(resumed.value().executed, 1u);
   EXPECT_EQ(resumed.value().resumed, 3u);
@@ -273,39 +273,33 @@ TEST(SweepResume, ZeroLengthMetaSidecarReExecutes) {
   expect_empty_file_reexecutes("mcs_sweep_empty_meta", /*empty_meta=*/true);
 }
 
-TEST(SweepResume, ParallelResumeIsByteIdenticalToSerialResume) {
-  // The parallel resume pre-scan is a pure read; only its *scan* runs on
-  // a thread pool, the fold stays serial in grid order. So resuming the
-  // same populated logdir with the scan parallel or serial, at any
-  // executor thread count, must render byte-identical reports — the
-  // property the examples-smoke CI step diffs end to end.
+TEST(SweepResume, ResumeIsByteIdenticalAtEveryThreadCount) {
+  // The resume pre-scan is a pure read; only its *scan* runs on a thread
+  // pool, the fold stays serial in grid order. So resuming the same
+  // populated logdir at any executor thread count must render byte-
+  // identical reports — the property the examples-smoke CI step diffs
+  // end to end.
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "mcs_sweep_par_resume";
   std::filesystem::remove_all(dir);
 
-  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {4, true}).execute();
+  auto fresh = fi::SweepDriver(resume_spec(dir.string()), {.threads = 4}).execute();
   ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
   ASSERT_EQ(fresh.value().executed, 4u);
   const std::string fresh_report = report_of(fresh.value());
 
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool parallel : {true, false}) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, parallel_resume=" +
-                   (parallel ? "on" : "off"));
-      fi::ExecutorConfig config;
-      config.threads = threads;
-      config.parallel_resume = parallel;
-      auto resumed =
-          fi::SweepDriver(resume_spec(dir.string()), config).execute();
-      ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-      EXPECT_EQ(resumed.value().resumed, 4u);
-      EXPECT_EQ(resumed.value().executed, 0u);
-      EXPECT_EQ(report_of(resumed.value()), fresh_report);
-      for (std::size_t i = 0; i < fresh.value().cells.size(); ++i) {
-        expect_same_aggregate(fresh.value().cells[i].aggregate,
-                              resumed.value().cells[i].aggregate,
-                              "cell " + fresh.value().cells[i].id);
-      }
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto resumed =
+        fi::SweepDriver(resume_spec(dir.string()), {.threads = threads}).execute();
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_EQ(resumed.value().resumed, 4u);
+    EXPECT_EQ(resumed.value().executed, 0u);
+    EXPECT_EQ(report_of(resumed.value()), fresh_report);
+    for (std::size_t i = 0; i < fresh.value().cells.size(); ++i) {
+      expect_same_aggregate(fresh.value().cells[i].aggregate,
+                            resumed.value().cells[i].aggregate,
+                            "cell " + fresh.value().cells[i].id);
     }
   }
   std::filesystem::remove_all(dir);
@@ -317,9 +311,9 @@ TEST(SweepResume, InMemorySweepMatchesPersistedSweep) {
   std::filesystem::remove_all(dir);
 
   fi::SweepSpec in_memory = resume_spec("");
-  auto transient = fi::SweepDriver(in_memory, {2, true}).execute();
+  auto transient = fi::SweepDriver(in_memory, {.threads = 2}).execute();
   auto persisted =
-      fi::SweepDriver(resume_spec(dir.string()), {2, true}).execute();
+      fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
   ASSERT_TRUE(transient.is_ok() && persisted.is_ok());
   ASSERT_EQ(transient.value().cells.size(), persisted.value().cells.size());
   for (std::size_t i = 0; i < transient.value().cells.size(); ++i) {

@@ -66,11 +66,6 @@ class ReferenceMemory {
     return true;
   }
 
-  void reset_contents() {
-    for (const std::uint64_t index : dirty_) pages_.at(index).fill(0);
-    dirty_.clear();
-  }
-
   [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
   [[nodiscard]] std::size_t dirty_pages() const { return dirty_.size(); }
 
@@ -136,6 +131,9 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
   util::Xoshiro256 rng(0xD1FF'0001);
 
   util::Arena snap_arena(kWinSize);
+  PhysicalMemory::Snapshot power_on;
+  dut.snapshot_to(power_on, snap_arena);
+  const ReferenceMemory::Capture ref_power_on = ref.capture();
   PhysicalMemory::Snapshot snapshot;
   ReferenceMemory::Capture ref_capture;
   bool captured = false;
@@ -257,7 +255,7 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
     }
 
     // Lifecycle events at fixed stream positions: capture mid-stream,
-    // restore later, power-on reset later still — the reference tracks
+    // restore later, restore power-on later still — the reference tracks
     // the same contract (contents + dirty set; residency monotonic).
     if (op == 7'000) {
       dut.snapshot_to(snapshot, snap_arena);
@@ -270,8 +268,8 @@ TEST(FastPathDifferential, PhysicalMemoryMatchesByteReference) {
       expect_same_contents(dut, ref, op);
     }
     if (op == 17'000) {
-      dut.reset_contents();
-      ref.reset_contents();
+      dut.restore_from(power_on);
+      ref.restore(ref_power_on);
       expect_same_contents(dut, ref, op);
     }
 

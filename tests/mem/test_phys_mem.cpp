@@ -109,9 +109,12 @@ TEST(PhysicalMemory, DirtyTrackingFollowsWrites) {
 
 TEST(PhysicalMemory, ResetContentsClearsDirtySetButKeepsResidency) {
   PhysicalMemory dram;
+  util::Arena arena;
+  PhysicalMemory::Snapshot power_on;
+  dram.snapshot_to(power_on, arena);
   (void)dram.fill(kDramBase, 2 * kPageSize, 0x77);
   ASSERT_EQ(dram.dirty_pages(), 2u);
-  dram.reset_contents();
+  dram.restore_from(power_on);
   EXPECT_EQ(dram.dirty_pages(), 0u);
   EXPECT_EQ(dram.resident_pages(), 2u);
   EXPECT_EQ(dram.read_u8(kDramBase).value(), 0u);
@@ -217,6 +220,8 @@ TEST(PhysicalMemory, TouchLogSeesEveryAccessPath) {
 TEST(PhysicalMemory, RestoreFromALaterSnapshotBringsItsPagesBack) {
   PhysicalMemory dram;
   util::Arena arena;
+  PhysicalMemory::Snapshot power_on;
+  dram.snapshot_to(power_on, arena);
   ASSERT_TRUE(dram.write_u32(kDramBase, 0x11).is_ok());
   PhysicalMemory::Snapshot earlier;
   dram.snapshot_to(earlier, arena);
@@ -232,8 +237,8 @@ TEST(PhysicalMemory, RestoreFromALaterSnapshotBringsItsPagesBack) {
   EXPECT_EQ(dram.dirty_pages(), 2u);
   EXPECT_EQ(dram.read_u32(kDramBase).value(), 0x22u);
   EXPECT_EQ(dram.read_u32(kDramBase + 5 * kPageSize).value(), 0x55u);
-  // The dirty list holds each page once: a reset scrubs both.
-  dram.reset_contents();
+  // The dirty list holds each page once: a power-on restore scrubs both.
+  dram.restore_from(power_on);
   EXPECT_EQ(dram.dirty_pages(), 0u);
   EXPECT_EQ(dram.read_u32(kDramBase + 5 * kPageSize).value(), 0u);
 }

@@ -10,6 +10,15 @@
 namespace mcs::platform {
 namespace {
 
+/// What fi::Testbed::reset() restores: the board as construction left it.
+struct PowerOn {
+  explicit PowerOn(const Board& board) { board.snapshot_to(snapshot, arena); }
+  void restore(Board& board) const { board.restore_from(snapshot); }
+
+  util::Arena arena;
+  Board::Snapshot snapshot;
+};
+
 TEST(Board, ComposesThePaperTestbed) {
   BananaPiBoard board;
   EXPECT_EQ(board.num_cpus(), 2);  // dual-core Cortex-A7
@@ -93,10 +102,11 @@ TEST(Board, RunTicksAccumulates) {
 
 TEST(Board, ResetClearsCpusAndIrqState) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   (void)board.cpu(1).power_on(0x1000);
   (void)board.cpu(1).complete_boot();
   (void)board.gic().raise_ppi(0, 27);
-  board.reset();
+  power_on.restore(board);
   EXPECT_EQ(board.cpu(1).power_state(), arch::PowerState::Off);
   EXPECT_FALSE(board.gic().is_pending(27, 0));
 }
@@ -105,10 +115,11 @@ TEST(Board, ResetClearsCpusAndIrqState) {
 
 TEST(Board, ResetRestoresClockSerialAndEventLog) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   (void)board.uart1().mmio_write(kUartThr, 'x');
   board.log().log(board.now(), util::Severity::Info, "test", -1, "entry");
   board.run_ticks(4);
-  board.reset();
+  power_on.restore(board);
   // Power-on restore: a reused board must be indistinguishable from a
   // freshly built one — time restarts at 0, captures and logs are empty.
   EXPECT_EQ(board.now().value, 0u);
@@ -118,11 +129,12 @@ TEST(Board, ResetRestoresClockSerialAndEventLog) {
 
 TEST(Board, ResetRestoresTimerDeadlinesToQuiescent) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   board.timer().start(0, 7);
   board.timer().start(1, 13);
   board.run_ticks(3);
   EXPECT_NE(board.next_device_deadline(), kNoDeadline);
-  board.reset();
+  power_on.restore(board);
   // All timers disarmed, fire counters rewound: no deadline constrains
   // the next run's event-driven leaps.
   EXPECT_EQ(board.next_device_deadline(), kNoDeadline);
@@ -132,11 +144,12 @@ TEST(Board, ResetRestoresTimerDeadlinesToQuiescent) {
 
 TEST(Board, ResetRestoresUartGpioWindowsToPowerOn) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   (void)board.uart0().mmio_write(kUartThr, 'a');
   board.uart1().feed_rx("pending");
   board.gpio().set_line(kGreenLedLine, true);
   board.gpio().set_line(3, true);
-  board.reset();
+  power_on.restore(board);
   EXPECT_EQ(board.uart0().total_bytes(), 0u);
   EXPECT_FALSE(board.uart1().mmio_read(kUartLsr).value() & kLsrDataReady);
   EXPECT_FALSE(board.gpio().led_on());
@@ -144,14 +157,27 @@ TEST(Board, ResetRestoresUartGpioWindowsToPowerOn) {
   EXPECT_EQ(board.gpio().led_toggles(), 0u);
 }
 
+TEST(Board, ResetRestoresUartIerAndGpioDirReadBackThroughMmio) {
+  BananaPiBoard board;
+  const PowerOn power_on(board);
+  ASSERT_TRUE(board.bus().write_u32(kUart1Base + kUartIer, 1).is_ok());
+  ASSERT_TRUE(board.bus().write_u32(kGpioBase + kGpioDir, 0xFF).is_ok());
+  ASSERT_EQ(board.bus().read_u32(kUart1Base + kUartIer).value(), 1u);
+  ASSERT_EQ(board.bus().read_u32(kGpioBase + kGpioDir).value(), 0xFFu);
+  power_on.restore(board);
+  EXPECT_EQ(board.bus().read_u32(kUart1Base + kUartIer).value(), 0u);
+  EXPECT_EQ(board.bus().read_u32(kGpioBase + kGpioDir).value(), 0u);
+}
+
 TEST(Board, ResetRestoresIrqchipLineState) {
   QuadA7Board board;
+  const PowerOn power_on(board);
   (void)board.gic().enable(kUart1Irq);
   (void)board.gic().set_target(kUart1Irq, 2);
   (void)board.gic().set_priority(kUart1Irq, 0x10);
   (void)board.gic().raise_spi(kUart1Irq);
   (void)board.gic().raise_ppi(1, kVirtualTimerPpi);
-  board.reset();
+  power_on.restore(board);
   EXPECT_FALSE(board.gic().is_enabled(kUart1Irq));
   EXPECT_EQ(board.gic().target(kUart1Irq), 0);
   EXPECT_FALSE(board.gic().is_pending(kUart1Irq, 2));
@@ -163,10 +189,11 @@ TEST(Board, ResetRestoresIrqchipLineState) {
 
 TEST(Board, ResetZeroesDramInPlaceWithoutFreeingPages) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   ASSERT_TRUE(board.dram().write_u32(mem::kDramBase + 0x1000, 0xDEADBEEF).is_ok());
   const std::size_t resident = board.dram().resident_pages();
   ASSERT_GT(resident, 0u);
-  board.reset();
+  power_on.restore(board);
   // Contents are power-on zeroes, but the pages stay resident (reuse
   // keeps the arena warm — no frees, no future allocations).
   EXPECT_EQ(board.dram().read_u32(mem::kDramBase + 0x1000).value(), 0u);
@@ -175,9 +202,10 @@ TEST(Board, ResetZeroesDramInPlaceWithoutFreeingPages) {
 
 TEST(Board, ResetZeroesCpuProfilingCounters) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   board.cpu(0).trap_entries = 7;
   board.cpu(1).irq_entries = 3;
-  board.reset();
+  power_on.restore(board);
   EXPECT_EQ(board.cpu(0).trap_entries, 0u);
   EXPECT_EQ(board.cpu(1).irq_entries, 0u);
 }
@@ -225,10 +253,11 @@ TEST(Board, DeadlineCacheRefreshesOncePerRearmNotPerQuery) {
 
 TEST(Board, DeadlineCacheSurvivesResetAndRestore) {
   BananaPiBoard board;
+  const PowerOn power_on(board);
   board.timer().start(0, 50);
   EXPECT_EQ(board.next_device_deadline().value, 50u);
 
-  board.reset();  // timer disarmed: the cache must not echo the old 50
+  power_on.restore(board);  // timer disarmed: the cache must not echo the old 50
   EXPECT_EQ(board.next_device_deadline(), kNoDeadline);
 
   board.timer().start(1, 30);

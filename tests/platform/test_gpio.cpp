@@ -57,12 +57,16 @@ TEST(Gpio, InvalidOffsetsRejected) {
   EXPECT_FALSE(gpio.mmio_write(0x40, 1).is_ok());
 }
 
-TEST(Gpio, ResetKeepsToggleCounter) {
+TEST(Gpio, ResetClearsLinesDirectionAndToggleCounter) {
   Gpio gpio("gpio", kGpioBase);
+  Gpio::Snapshot power_on;
+  gpio.snapshot_to(power_on);
   gpio.set_line(kGreenLedLine, true);
-  gpio.reset();
+  ASSERT_TRUE(gpio.mmio_write(kGpioDir, 0xFF).is_ok());
+  gpio.restore_from(power_on);
   EXPECT_FALSE(gpio.led_on());
-  EXPECT_EQ(gpio.led_toggles(), 1u);  // experiment counter survives reset
+  EXPECT_EQ(gpio.mmio_read(kGpioDir).value(), 0u);
+  EXPECT_EQ(gpio.led_toggles(), 0u);
 }
 
 }  // namespace

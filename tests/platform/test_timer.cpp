@@ -97,11 +97,14 @@ TEST_F(TimerTest, InvalidStartIgnored) {
 }
 
 TEST_F(TimerTest, ResetClearsState) {
+  PeriodicTimer::Snapshot power_on;
+  timer_.snapshot_to(power_on);
   timer_.start(0, 2);
   tick_n(2);
-  timer_.reset();
+  timer_.restore_from(power_on);
   EXPECT_FALSE(timer_.is_running(0));
   EXPECT_EQ(timer_.fires(0), 0u);
+  EXPECT_EQ(timer_.next_deadline(clock_.now()), kNoDeadline);
 }
 
 // --- deadline publication (the event-driven scheduler contract) -------------

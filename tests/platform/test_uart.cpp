@@ -71,20 +71,27 @@ TEST(Uart, InvalidOffsetsRejected) {
   EXPECT_EQ(uart.mmio_write(kUartLsr, 0).code(), util::Code::EPerm);
 }
 
-TEST(Uart, ResetPreservesCaptureDropsRx) {
+TEST(Uart, ResetDropsCaptureRxAndInterruptEnable) {
   Uart uart("uart0", kUart0Base, nullptr, 0);
+  Uart::Snapshot power_on;
+  uart.snapshot_to(power_on);
   (void)uart.mmio_write(kUartThr, 'x');
+  (void)uart.mmio_write(kUartIer, 1);
   uart.feed_rx("pending");
-  uart.reset();
-  EXPECT_EQ(uart.captured(), "x");  // the experiment log survives
+  uart.restore_from(power_on);
+  EXPECT_TRUE(uart.captured().empty());
   EXPECT_FALSE(uart.mmio_read(kUartLsr).value() & kLsrDataReady);
+  EXPECT_EQ(uart.mmio_read(kUartIer).value(), 0u);
 }
 
 TEST(Uart, ClearCaptureEmptiesLog) {
   Uart uart("uart0", kUart0Base, nullptr, 0);
+  Uart::Snapshot power_on;
+  uart.snapshot_to(power_on);
   (void)uart.mmio_write(kUartThr, 'x');
-  uart.clear_capture();
+  uart.restore_from(power_on);
   EXPECT_TRUE(uart.captured().empty());
+  EXPECT_EQ(uart.total_bytes(), 0u);
 }
 
 }  // namespace
