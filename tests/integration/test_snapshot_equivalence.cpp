@@ -9,7 +9,9 @@
 // pins that, checks the restore path is actually exercised (not silently
 // falling back to power-on + boot), pins the sweep driver's
 // interrupt/resume byte-identity, and compares every run log of a
-// five-domain rewind grid with the oracle's lines.
+// five-domain rewind grid with the oracle's lines. Its ReuseEquivalence
+// tests and RestoredMatchesPooledResetPerRun drive runs through the
+// power-on restore of slots that other plans dirtied.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -519,6 +521,153 @@ TEST(SnapshotEquivalence, FiveFaultDomainsShareOneSlotAndOnePoint) {
     plan.cell_tuning = "fault domain " + domains[i];
     expect_identical(fresh_campaign(plan), warm[i], domains[i]);
   }
+}
+
+// --- pooled slots reset to power-on ------------------------------------------
+//
+// Slots are keyed by board, machine tuning, scenario and tick policy, not
+// by plan: a run whose slot holds another plan's rewind point restores
+// power-on (Testbed::reset restores the constructor's snapshot), sets up
+// and boots on a slot other runs dirtied. These tests put runs on that
+// path on purpose instead of leaving it to each worker's first run.
+
+/// Another rewind key on the same slots: a later first injecting call, a
+/// longer window and other seeds leave each slot holding another point
+/// and the residue of other faults.
+TestPlan dirtying_plan(TestPlan plan) {
+  plan.phase = 3;
+  plan.duration_ticks = 2'500;
+  plan.seed ^= 0x5eed;
+  return plan;
+}
+
+/// `plan`'s run `index` alone: SplitMix64 adds a fixed increment per
+/// draw, so a plan seeded `index` increments later draws run `index`'s
+/// seed first.
+TestPlan single_run(TestPlan plan, std::uint32_t index) {
+  plan.seed += index * 0x9e3779b97f4a7c15ULL;
+  plan.runs = 1;
+  return plan;
+}
+
+TEST(ReuseEquivalence, PooledMatchesFreshOnEveryScenarioBoardAndThreadCount) {
+  // {scenario} × {board} × {1, 4, 8} threads: each width first runs the
+  // dirtying plan, so the plan's first lease (the pool hands out the
+  // slot released last) resets a slot holding another point, and the
+  // campaign must still match its oracle.
+  for (const std::string& scenario : ScenarioRegistry::instance().names()) {
+    if (scenario.rfind("test-", 0) == 0) continue;  // suite-local fixtures
+    for (const std::string& board : {std::string("bananapi"), std::string("quad-a7")}) {
+      const TestPlan plan = snapshot_plan(scenario, board);
+      const CampaignCapture fresh = fresh_campaign(plan);
+      // A board that cannot host the scenario fails setup (a
+      // HarnessError) before the pool counts the reset.
+      const bool hosted =
+          fresh.result.distribution().count(Outcome::HarnessError) == 0;
+      for (const unsigned threads : {1u, 4u, 8u}) {
+        const std::string label = scenario + " on " + board + ", " +
+                                  std::to_string(threads) + " threads";
+        (void)run_campaign(dirtying_plan(plan), threads);
+        const TestbedPool::Stats before = TestbedPool::instance().stats();
+        const CampaignCapture pooled = run_campaign(plan, threads);
+        if (hosted) {
+          EXPECT_GE(TestbedPool::instance().stats().run_resets,
+                    before.run_resets + 1)
+              << label;
+        }
+        expect_identical(fresh, pooled, label);
+      }
+    }
+  }
+}
+
+TEST(ReuseEquivalence, PooledCampaignsExerciseFailingRuns) {
+  // The identity above is only meaningful if the slots it resets carry
+  // the residue of failed runs: the dirtying plan must fail runs too.
+  const TestPlan plan = dirtying_plan(snapshot_plan("freertos-steady", "bananapi"));
+  const OutcomeDistribution dist = run_campaign(plan, 1).result.distribution();
+  EXPECT_GT(dist.total() - dist.count(Outcome::Correct), 0u)
+      << "dirtying plan produced no failures; tighten rate/phase";
+}
+
+TEST(SnapshotEquivalence, RestoredMatchesPooledResetPerRun) {
+  // Restored runs against the same runs each reset to power-on on one
+  // pooled slot: every run is a campaign of its own, after a dirtying
+  // run moved the slot's point, so none of them restores.
+  for (const std::string& scenario :
+       {std::string("freertos-steady"), std::string("osek-cell")}) {
+    const TestPlan plan = snapshot_plan(scenario, "bananapi");
+    CampaignCapture warm;
+    const ProvisionDelta restored =
+        provisioning_of([&] { warm = run_campaign(plan, 2); });
+    EXPECT_GE(restored.restores, plan.runs - 2) << scenario;
+
+    CampaignCapture per_run;
+    analysis::LogSink sink;
+    util::SplitMix64 seeds(plan.seed);
+    const ProvisionDelta reset = provisioning_of([&] {
+      for (std::uint32_t i = 0; i < plan.runs; ++i) {
+        (void)run_campaign(single_run(dirtying_plan(plan), i), 1);
+        const TestPlan one = single_run(plan, i);
+        EXPECT_EQ(util::SplitMix64(one.seed).next(), seeds.next()) << i;
+        per_run.result.runs.push_back(run_campaign(one, 1).result.runs.front());
+        sink.record(i, per_run.result.runs.back());
+      }
+    });
+    per_run.log_text = sink.text();
+    per_run.aggregate = sink.aggregate();
+    EXPECT_EQ(reset.creates, 1u) << scenario;
+    EXPECT_EQ(reset.resets, 2 * plan.runs) << scenario;
+    EXPECT_EQ(reset.restores, 0u) << scenario;
+    expect_identical(per_run, warm, scenario + " reset per run vs restored");
+  }
+}
+
+TEST(ReuseEquivalence, SweepResumeStaysByteIdenticalWithPooling) {
+  // Resume re-executes its cells on slots another sweep parked (another
+  // window, so another point): they reset to power-on, and the report
+  // stays byte-identical to the first sweep's and to a sweep on an
+  // emptied pool.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "mcs_reuse_sweep";
+  std::filesystem::remove_all(dir);
+
+  auto first = SweepDriver(small_sweep(dir.string()), {.threads = 2}).execute();
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  const std::string report = render_sweep_report(first.value());
+
+  // Interrupt: drop one cell's log mid-line with its sidecar, delete
+  // another's.
+  const std::filesystem::path cut = dir / "freertos-steady_r50.runlog";
+  {
+    const std::string text = read_file(cut).substr(0, 40);
+    std::ofstream out(cut, std::ios::trunc);
+    out << text;
+  }
+  std::filesystem::remove(dir / "freertos-steady_r50.runlog.meta");
+  std::filesystem::remove(dir / "inject-during-boot_r100.runlog");
+
+  SweepSpec other = small_sweep("");
+  other.duration_ticks = 1'000;
+  auto dirtied = SweepDriver(other, {.threads = 4}).execute();
+  ASSERT_TRUE(dirtied.is_ok()) << dirtied.status().to_string();
+
+  const TestbedPool::Stats before = TestbedPool::instance().stats();
+  auto resumed = SweepDriver(small_sweep(dir.string()), {.threads = 4}).execute();
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  EXPECT_EQ(resumed.value().resumed, 2u);
+  EXPECT_EQ(resumed.value().executed, 2u);
+  // Each re-executed cell's first lease holds the other sweep's point.
+  EXPECT_GE(TestbedPool::instance().stats().run_resets, before.run_resets + 2);
+  EXPECT_EQ(render_sweep_report(resumed.value()), report);
+
+  TestbedPool::instance().clear();
+  auto rebuilt =
+      SweepDriver(small_sweep((dir / "rebuilt").string()), {.threads = 2}).execute();
+  ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
+  EXPECT_EQ(render_sweep_report(rebuilt.value()), report);
+
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
