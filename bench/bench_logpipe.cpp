@@ -1,13 +1,14 @@
-// Log-pipeline throughput: sharded sink + zero-copy scan vs the frozen
-// pre-refactor paths.
+// Log-pipeline throughput: the reused-buffer sink + zero-copy scan vs the
+// frozen pre-refactor paths.
 //
 // The testbed pool made runs cheap enough that the log pipeline became
-// the bottleneck: a single-mutex sink rendering every line through
-// ostringstream on the write side, and an ifstream→ostringstream slurp
-// plus a line-materialising split parser on the read side. This bench
-// pins the replacement against *frozen in-bench replicas* of those old
-// paths (copied, not linked — the library now only has the fast ones),
-// so the reported speedups are host-independent ratios. Every side is
+// the bottleneck: a sink rendering every line through ostringstream on
+// the write side, and an ifstream→ostringstream slurp plus a
+// line-materialising split parser on the read side. This bench pins the
+// replacement against *frozen in-bench replicas* of those old paths —
+// copied, not linked, down to the materialised entry type and its fold:
+// the library now only has the fast ones — so the reported speedups are
+// host-independent ratios. Every side is
 // timed as interleaved best-of-7 pairs: on a shared CI host any one rep
 // can be preempted, so each side keeps its minimum, and alternating the
 // sides makes both sample the same load windows.
@@ -55,6 +56,46 @@ using namespace mcs;
 // never be "improved": their role is to hold the old cost model still so
 // the speedup gate in CI measures the pipeline, not the host.
 
+/// The materialised form of a run line (detail copied out).
+struct RunLogEntry {
+  std::uint32_t index = 0;
+  fi::Outcome outcome = fi::Outcome::Correct;
+  std::string detail;
+  fi::FaultDomain domain = fi::FaultDomain::Register;
+  std::uint64_t injections = 0;
+  std::uint64_t uart_bytes = 0;
+  bool failure_detected = false;
+  std::uint64_t detect_latency_ms = 0;
+  bool shutdown_reclaimed = false;
+};
+
+struct ParsedRunLog {
+  std::vector<RunLogEntry> entries;
+  std::size_t malformed_lines = 0;
+  std::size_t skipped_lines = 0;
+};
+
+/// Rebuild a CampaignAggregate from materialised entries, folding them
+/// in file order the way CampaignAggregate::add folds a live run.
+analysis::CampaignAggregate aggregate_from_log(const ParsedRunLog& log) {
+  analysis::CampaignAggregate aggregate;
+  for (const RunLogEntry& entry : log.entries) {
+    aggregate.distribution.add(entry.outcome);
+    aggregate.injections += entry.injections;
+    aggregate.injections_by_domain[static_cast<std::size_t>(entry.domain)] +=
+        entry.injections;
+    if (entry.failure_detected) {
+      aggregate.detection_latency.add(
+          static_cast<double>(entry.detect_latency_ms));
+    }
+    if (fi::is_cell_failure(entry.outcome)) {
+      ++aggregate.cell_failures;
+      if (entry.shutdown_reclaimed) ++aggregate.reclaimed;
+    }
+  }
+  return aggregate;
+}
+
 std::string baseline_run_log_line(std::uint32_t index,
                                   const fi::RunResult& run) {
   std::ostringstream out;
@@ -91,13 +132,13 @@ bool baseline_find_field(std::string_view fields, std::string_view key,
   return true;
 }
 
-util::Expected<analysis::RunLogEntry> baseline_parse_run_log_line(
+util::Expected<RunLogEntry> baseline_parse_run_log_line(
     std::string_view line) {
   line = util::trim(line);
   if (!line.starts_with("run ")) {
     return util::invalid_argument("missing 'run ' prefix");
   }
-  analysis::RunLogEntry entry;
+  RunLogEntry entry;
   const std::size_t colon = line.find(": ");
   if (colon == std::string_view::npos) {
     return util::invalid_argument("missing run-index separator");
@@ -155,8 +196,8 @@ util::Expected<analysis::RunLogEntry> baseline_parse_run_log_line(
 /// The old parse_run_log: util::split materialises one std::string per
 /// line, every entry rides an Expected wrapper and owns its detail
 /// string.
-analysis::ParsedRunLog baseline_parse_run_log(std::string_view text) {
-  analysis::ParsedRunLog parsed;
+ParsedRunLog baseline_parse_run_log(std::string_view text) {
+  ParsedRunLog parsed;
   for (const std::string& line : util::split(text, '\n')) {
     const std::string_view trimmed = util::trim(line);
     if (trimmed.empty()) continue;
@@ -192,13 +233,13 @@ bool baseline_cell_log_complete(const fi::TestPlan& plan,
   std::ostringstream buffer;
   buffer << file.rdbuf();
   if (file.bad()) return false;
-  const analysis::ParsedRunLog parsed = baseline_parse_run_log(buffer.str());
+  const ParsedRunLog parsed = baseline_parse_run_log(buffer.str());
   if (parsed.malformed_lines != 0) return false;
   if (parsed.entries.size() != plan.runs) return false;
   for (std::size_t i = 0; i < parsed.entries.size(); ++i) {
     if (parsed.entries[i].index != i) return false;
   }
-  aggregate = analysis::aggregate_from_log(parsed);
+  aggregate = aggregate_from_log(parsed);
   return true;
 }
 
@@ -287,8 +328,8 @@ struct Row {
 // --- rows -------------------------------------------------------------------
 
 /// Write path: an in-order completion storm (the executor's common case)
-/// through the sharded sink's fast path, vs the old single-mutex
-/// ostringstream-per-line sink.
+/// through the sink's in-order path — one lock, to_chars into a reused
+/// line buffer — vs the old ostringstream-per-line sink under one mutex.
 Row bench_write(std::size_t n) {
   const std::vector<fi::RunResult> pool = run_pool(0x11F0, 512);
   Row row{.name = "write"};
@@ -357,10 +398,9 @@ Row bench_parse(const std::filesystem::path& dir, std::size_t n) {
         std::ifstream file(path);
         std::ostringstream buffer;
         buffer << file.rdbuf();
-        const analysis::ParsedRunLog parsed =
-            baseline_parse_run_log(buffer.str());
+        const ParsedRunLog parsed = baseline_parse_run_log(buffer.str());
         const analysis::CampaignAggregate aggregate =
-            analysis::aggregate_from_log(parsed);
+            aggregate_from_log(parsed);
         baseline_entries = parsed.entries.size() + aggregate.cell_failures / n;
         return true;
       },

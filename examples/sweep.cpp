@@ -8,8 +8,8 @@
 // skipped, and the final comparison report is byte-identical to an
 // uninterrupted run's (the determinism the resume CI step diffs).
 //
-//   $ ./sweep --scenarios freertos-steady,dual-cell --rates 100,50 \
-//             --runs 8 --logdir sweep-logs > report.txt
+//   $ ./sweep --scenarios freertos-steady,dual-cell --rates 100,50 --runs 8
+//   $ ./sweep ... --logdir sweep-logs > report.txt   # per-cell logs, resumable
 //   $ ./sweep --spec grid.sweep            # config-text spec file
 //   $ ./sweep --spec -                     # spec from stdin
 //
@@ -18,20 +18,17 @@
 //
 //   $ ./sweep ... --logdir sweep-logs --workers 4   # fork 4 workers, merge
 //   $ ./sweep --join sweep-logs --worker-id host2   # pile on from elsewhere
-//   $ ./sweep --sweepd jobs/ --workers 4            # job-queue daemon
 //
 // The comparison report goes to stdout; progress goes to stderr, so the
 // report can be redirected and diffed.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <cstdint>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -68,11 +65,6 @@ void usage(std::ostream& out) {
          "  --worker-id ID        lease owner id for --join (default wPID)\n"
          "  --lease-ttl SEC       heartbeat age before a lease counts stale\n"
          "                        and is re-claimed (default 60)\n"
-         "  --sweepd DIR          daemon: watch DIR for *.sweep job specs,\n"
-         "                        execute each, write <job>.report and live\n"
-         "                        progress to DIR/sweepd.status\n"
-         "  --once                with --sweepd: drain the queue and exit\n"
-         "  --poll-ms N           sweepd queue poll interval (default 1000)\n"
          "flags override the spec file; the comparison report goes to\n"
          "stdout, progress to stderr\n";
 }
@@ -185,8 +177,7 @@ void print_pool_stats(std::ostream& err) {
 void print_logpipe_stats(std::ostream& err) {
   const mcs::util::LogPipeCounters::Stats log =
       mcs::util::LogPipeCounters::instance().stats();
-  err << "logpipe: " << log.sink_lines << " lines sunk ("
-      << log.sink_contention << " contended, " << log.sink_flushes
+  err << "logpipe: " << log.sink_lines << " lines sunk (" << log.sink_flushes
       << " flushes); " << log.parse_lines << " lines / " << log.parse_bytes
       << " B scanned, " << log.bytes_mapped << " B mapped ("
       << log.map_fallbacks << " read fallbacks); " << log.resumed_cells
@@ -219,147 +210,6 @@ mcs::fi::SweepWorker::ProgressFn worker_progress(const std::string& worker_id,
   };
 }
 
-// --- sweepd ------------------------------------------------------------------
-
-struct SweepdOptions {
-  std::string job_dir;
-  unsigned workers = 0;  ///< 0/1 → in-process driver; ≥2 → fork + lease
-  mcs::fi::SweepWorkerConfig worker;
-  mcs::fi::ExecutorConfig executor;
-  bool once = false;
-  std::chrono::milliseconds poll{1'000};
-};
-
-/// Run one queued job spec; returns false on a job-level failure (the
-/// job file is renamed *.failed with a sidecar *.error either way, so
-/// the daemon never re-runs a broken spec in a loop).
-bool run_sweepd_job(const SweepdOptions& options,
-                    const std::filesystem::path& job_path) {
-  namespace fs = std::filesystem;
-  using namespace mcs;
-
-  const std::string stem = job_path.stem().string();
-  const std::string status_path =
-      (fs::path(options.job_dir) / "sweepd.status").string();
-
-  const auto fail = [&](const std::string& what) {
-    std::cerr << "sweepd: job " << stem << ": " << what << "\n";
-    (void)fi::write_text_atomic(
-        (fs::path(options.job_dir) / (stem + ".error")).string(), what + "\n");
-    std::error_code ec;
-    fs::rename(job_path, job_path.string() + ".failed", ec);
-    return false;
-  };
-
-  const auto body = util::read_file(job_path.string());
-  if (!body.is_ok()) return fail("cannot read job spec");
-  auto parsed = fi::parse_sweep_spec(body.value());
-  if (!parsed.is_ok()) return fail("spec: " + parsed.status().to_string());
-  fi::SweepSpec spec = std::move(parsed).value();
-  if (spec.log_dir.empty()) {
-    // Queued jobs always persist — the logdir is both the resume
-    // substrate and what the daemon's workers lease over.
-    spec.log_dir = (fs::path(options.job_dir) / (stem + ".logs")).string();
-  }
-
-  std::cerr << "sweepd: job " << stem << ": " << spec.cell_count()
-            << " cells × " << spec.runs << " runs → " << spec.log_dir << "\n";
-
-  // Live status: every completed cell rewrites the status file (atomic
-  // replace) with done counts, throughput, ETA and the lease table. In
-  // --workers mode the children write it — last writer wins, each with
-  // its own grid-wide view.
-  const auto status_writer = [status_path, stem,
-                              log_dir = spec.log_dir](
-                                 std::size_t done, std::size_t total,
-                                 const ProgressMeter& meter) {
-    fi::SweepStatus status;
-    status.job = stem;
-    status.cells_done = done;
-    status.cells_total = total;
-    status.runs_per_sec = meter.runs_per_sec();
-    status.eta_seconds = meter.eta_seconds();
-    status.leases = fi::list_leases(log_dir);
-    (void)fi::write_text_atomic(status_path,
-                                fi::render_sweep_status(status));
-  };
-
-  util::Expected<fi::SweepResult> swept =
-      util::invalid_argument("not executed");
-  if (options.workers >= 2) {
-    fi::DistributedSweepOptions distributed;
-    distributed.workers = options.workers;
-    distributed.worker = options.worker;
-    distributed.make_worker_progress =
-        [status_writer, cells_total = spec.cell_count()](
-            const std::string& worker_id) {
-          auto stderr_line = worker_progress(worker_id, cells_total);
-          auto meter = std::make_shared<ProgressMeter>(cells_total);
-          return [stderr_line, status_writer,
-                  meter](const fi::SweepWorkerProgress& event) {
-            stderr_line(event);
-            meter->on_cell(event.executed_here,
-                           event.executed_here ? event.cell->plan.runs : 0);
-            meter->override_done(event.cells_done, event.cells_total);
-            status_writer(event.cells_done, event.cells_total, *meter);
-          };
-        };
-    swept = fi::run_distributed_sweep(spec, options.executor, distributed);
-  } else {
-    fi::SweepDriver driver(spec, options.executor);
-    auto meter = std::make_shared<ProgressMeter>(spec.cell_count());
-    driver.set_cell_progress(
-        [meter, status_writer](const fi::SweepCellResult& cell) {
-          meter->on_cell(!cell.resumed, cell.resumed ? 0 : cell.plan.runs);
-          print_cell_line(std::cerr, "  ", *meter, cell.id, !cell.resumed,
-                          cell.aggregate);
-          status_writer(meter->done(), meter->total(), *meter);
-        });
-    swept = driver.execute();
-  }
-  if (!swept.is_ok()) return fail(swept.status().to_string());
-
-  const util::Status wrote = fi::write_text_atomic(
-      (fs::path(options.job_dir) / (stem + ".report")).string(),
-      report_of(swept.value()));
-  if (!wrote.is_ok()) return fail(wrote.to_string());
-  std::error_code ec;
-  fs::rename(job_path, job_path.string() + ".done", ec);
-  std::cerr << "sweepd: job " << stem << ": done ("
-            << swept.value().executed << " executed, "
-            << swept.value().resumed << " resumed)\n";
-  return true;
-}
-
-int run_sweepd(const SweepdOptions& options) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(options.job_dir, ec);
-  if (ec) {
-    std::cerr << "sweepd: cannot create job dir '" << options.job_dir
-              << "': " << ec.message() << "\n";
-    return 2;
-  }
-  std::cerr << "sweepd: watching " << options.job_dir << " for *.sweep jobs"
-            << (options.once ? " (drain once)" : "") << "\n";
-
-  bool all_ok = true;
-  while (true) {
-    std::vector<fs::path> jobs;
-    for (fs::directory_iterator it(options.job_dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      if (it->path().extension() == ".sweep") jobs.push_back(it->path());
-    }
-    std::sort(jobs.begin(), jobs.end());
-    for (const fs::path& job : jobs) {
-      all_ok = run_sweepd_job(options, job) && all_ok;
-    }
-    if (options.once) break;
-    std::this_thread::sleep_for(options.poll);
-  }
-  return all_ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -371,17 +221,16 @@ int main(int argc, char** argv) {
   bool have_spec = false;
   unsigned workers = 0;
   std::string join_dir;
-  std::string sweepd_dir;
-  bool sweepd_once = false;
-  std::chrono::milliseconds sweepd_poll{1'000};
 
   // Exit codes: 0 swept, 1 bad spec/flags, 2 unreadable spec input.
   // Strict numerics: the same vocabulary as the spec file, so "8q" is
-  // rejected here exactly like it would be on a `runs 8q` line.
+  // rejected here exactly like it would be on a `runs 8q` line, and a
+  // value above a 32-bit field's range is refused rather than wrapped.
   const auto parse_number = [](const char* flag_name, const char* token,
-                               std::uint64_t& out) {
+                               std::uint64_t& out,
+                               std::uint64_t max = UINT64_MAX) {
     auto value = mcs::jh::parse_config_number(token);
-    if (!value.is_ok()) {
+    if (!value.is_ok() || value.value() > max) {
       std::cerr << "sweep: bad " << flag_name << " '" << token << "'\n";
       return false;
     }
@@ -447,7 +296,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--rates" && (arg = value()) != nullptr) {
       spec.rates.clear();
       for (const std::string& token : split_csv(arg)) {
-        if (!parse_number("rate", token.c_str(), number)) return 1;
+        if (!parse_number("rate", token.c_str(), number, UINT32_MAX)) {
+          return 1;
+        }
         if (number == 0) {
           std::cerr << "sweep: bad rate '" << token << "' (need ≥ 1)\n";
           return 1;
@@ -459,7 +310,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--domains" && (arg = value()) != nullptr) {
       spec.domains = split_csv(arg);
     } else if (flag == "--runs" && (arg = value()) != nullptr) {
-      if (!parse_number("runs", arg, number)) return 1;
+      if (!parse_number("runs", arg, number, UINT32_MAX)) return 1;
       spec.runs = static_cast<std::uint32_t>(number);
     } else if (flag == "--seed" && (arg = value()) != nullptr) {
       if (!parse_number("seed", arg, number)) return 1;
@@ -474,10 +325,10 @@ int main(int argc, char** argv) {
     } else if (flag == "--logdir" && (arg = value()) != nullptr) {
       spec.log_dir = arg;
     } else if (flag == "--threads" && (arg = value()) != nullptr) {
-      if (!parse_number("threads", arg, number)) return 1;
+      if (!parse_number("threads", arg, number, UINT32_MAX)) return 1;
       config.threads = static_cast<unsigned>(number);
     } else if (flag == "--workers" && (arg = value()) != nullptr) {
-      if (!parse_number("workers", arg, number) || number == 0) {
+      if (!parse_number("workers", arg, number, UINT32_MAX) || number == 0) {
         std::cerr << "sweep: --workers needs a count ≥ 1\n";
         return 1;
       }
@@ -492,33 +343,11 @@ int main(int argc, char** argv) {
       worker_config.heartbeat_interval =
           std::max(std::chrono::milliseconds(worker_config.lease_ttl) / 4,
                    std::chrono::milliseconds(50));
-    } else if (flag == "--sweepd" && (arg = value()) != nullptr) {
-      sweepd_dir = arg;
-    } else if (flag == "--once") {
-      sweepd_once = true;
-    } else if (flag == "--poll-ms" && (arg = value()) != nullptr) {
-      if (!parse_number("poll-ms", arg, number) || number == 0) {
-        std::cerr << "sweep: --poll-ms needs a value ≥ 1\n";
-        return 1;
-      }
-      sweepd_poll = std::chrono::milliseconds(number);
     } else {
       std::cerr << "sweep: unknown or incomplete flag '" << flag << "'\n";
       usage(std::cerr);
       return 1;
     }
-  }
-
-  // --- sweepd: job-queue daemon ---------------------------------------------
-  if (!sweepd_dir.empty()) {
-    SweepdOptions options;
-    options.job_dir = sweepd_dir;
-    options.workers = workers;
-    options.worker = worker_config;
-    options.executor = config;
-    options.once = sweepd_once;
-    options.poll = sweepd_poll;
-    return run_sweepd(options);
   }
 
   // --- join: become one worker of an in-flight sweep ------------------------

@@ -180,10 +180,10 @@ bool fast_domain(std::string_view name, fi::FaultDomain& out) {
 }
 
 /// Fold one entry the way CampaignAggregate::add folds a live run —
-/// field for field, in this order. Shared by the materialising and the
-/// zero-copy tier so the two can never drift apart.
-template <typename Entry>
-void fold_entry(CampaignAggregate& aggregate, const Entry& entry) {
+/// field for field, in this order; the run log carries everything the
+/// aggregate consumes (the outcome, the injection count, the detection
+/// flag + latency, the reclaim verdict).
+void fold_entry(CampaignAggregate& aggregate, const RunLogEntryView& entry) {
   aggregate.distribution.add(entry.outcome);
   aggregate.injections += entry.injections;
   aggregate.injections_by_domain[static_cast<std::size_t>(entry.domain)] +=
@@ -231,9 +231,9 @@ inline const char* last_open_paren(const char* begin, std::size_t len) {
 /// from_chars runs and length-dispatched key memcmps: the field group
 /// starts at the LAST "(injections=" (the detail may contain parens of
 /// its own), and every field key has a distinct length, so each token
-/// costs one compare. False on any shape mismatch; the same verdicts and
-/// values as the original find-based parser (the differential suite and
-/// the adversarial-line tests pin both).
+/// costs one compare. False on any shape mismatch. Its oracle is the
+/// writer: the round-trip property suite renders random runs with
+/// fi::run_log_line and pins every value this gives back.
 /// `line` must already be trimmed (both call sites trim once, up front).
 bool parse_line_into(std::string_view line, RunLogEntryView& entry) {
   const char* p = line.data();
@@ -287,7 +287,7 @@ bool parse_line_into(std::string_view line, RunLogEntryView& entry) {
 
   // Fields: "(injections=…" is guaranteed first by the search above; the
   // rest dispatch in any order. Unknown keys (a newer writer's
-  // extensions) are skipped, like the find-based parser skipped them.
+  // extensions) are skipped.
   const char* q = open + 12;
   {
     const auto [r, ec] = std::from_chars(q, end, entry.injections);
@@ -360,69 +360,16 @@ util::Expected<RunLogEntryView> parse_run_log_line_view(std::string_view line) {
   return entry;
 }
 
-util::Expected<RunLogEntry> parse_run_log_line(std::string_view line) {
-  auto view = parse_run_log_line_view(line);
-  if (!view.is_ok()) return view.status();
-  const RunLogEntryView& v = view.value();
-  RunLogEntry entry;
-  entry.index = v.index;
-  entry.outcome = v.outcome;
-  entry.detail = std::string(v.detail);
-  entry.domain = v.domain;
-  entry.injections = v.injections;
-  entry.uart_bytes = v.uart_bytes;
-  entry.failure_detected = v.failure_detected;
-  entry.detect_latency_ms = v.detect_latency_ms;
-  entry.shutdown_reclaimed = v.shutdown_reclaimed;
-  return entry;
-}
-
-fi::OutcomeDistribution ParsedRunLog::distribution() const {
-  fi::OutcomeDistribution dist;
-  for (const RunLogEntry& entry : entries) dist.add(entry.outcome);
-  return dist;
-}
-
-CampaignAggregate aggregate_from_log(const ParsedRunLog& log) {
-  // Mirrors CampaignAggregate::add field for field; the run log carries
-  // everything the aggregate consumes (the outcome, the injection count,
-  // the detection flag + latency, the reclaim verdict).
-  CampaignAggregate aggregate;
-  for (const RunLogEntry& entry : log.entries) fold_entry(aggregate, entry);
-  return aggregate;
-}
-
-ParsedRunLog parse_run_log(std::string_view text) {
-  ParsedRunLog parsed;
-  util::for_each_line(text, [&parsed](std::string_view raw) {
-    const std::string_view trimmed = trim_fast(raw);
-    if (trimmed.empty()) return;
-    // Lines that aren't run records at all — record kinds from a newer (or
-    // older) writer — are skipped and counted, never fatal. Only a line
-    // that claims to be a run record and fails to parse is malformed: the
-    // distinction is what lets resume trust a log with foreign record
-    // kinds while still rejecting one with a truncated run line.
-    if (!trimmed.starts_with("run ")) {
-      ++parsed.skipped_lines;
-      return;
-    }
-    auto entry = parse_run_log_line(trimmed);
-    if (entry.is_ok()) {
-      parsed.entries.push_back(std::move(entry).value());
-    } else {
-      ++parsed.malformed_lines;
-    }
-  });
-  return parsed;
-}
-
 RunLogScan scan_run_log(std::string_view text) {
   RunLogScan scan;
   // One fused pointer walk — line split, trim and record dispatch in the
   // same loop. Same line boundaries as util::for_each_line (every
-  // '\n'-separated segment, no phantom segment after a trailing '\n')
-  // and the same skip/malformed split as parse_run_log — the
-  // differential suite pins the counts equal on every input.
+  // '\n'-separated segment, no phantom segment after a trailing '\n').
+  // Lines that aren't run records at all — record kinds from a newer (or
+  // older) writer — are skipped and counted, never fatal. Only a line
+  // that claims to be a run record and fails to parse is malformed: the
+  // distinction is what lets resume trust a log with foreign record
+  // kinds while still rejecting one with a truncated run line.
   const char* p = text.data();
   const char* const end = p + text.size();
   while (p < end) {

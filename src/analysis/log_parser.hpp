@@ -40,17 +40,13 @@ struct ParsedLog {
 // so the analytics (distributions, recovery counts) can be rebuilt from
 // the log file alone, detached from the live campaign.
 //
-// Two tiers share one line grammar:
-//   · the *materialising* tier (RunLogEntry / parse_run_log) copies each
-//     entry out of the text — what offline tooling that inspects
-//     individual runs wants;
-//   · the *zero-copy* tier (RunLogEntryView / scan_run_log) keeps
-//     string_views into the caller's buffer and folds straight into a
-//     CampaignAggregate — no per-line copy, no per-line allocation. The
-//     resume and replay hot paths (cell_log_complete, logreplay, the
-//     sweepd merge) run on this tier over util::MappedFile views.
-// A differential property suite pins the two tiers entry-for-entry and
-// bit-for-bit on the folded aggregates.
+// One zero-copy parser: RunLogEntryView keeps string_views into the
+// caller's buffer, and scan_run_log folds each line straight into a
+// CampaignAggregate — no per-line copy, no per-line allocation. Resume
+// (cell_log_complete) and logreplay run it over util::MappedFile views.
+// Its oracle is the writer: a round-trip property suite renders random
+// runs with fi::run_log_line and checks that every field, count and
+// folded aggregate comes back exactly.
 // ---------------------------------------------------------------------------
 
 /// One parsed run line, zero-copy: `detail` points into the parsed
@@ -74,29 +70,21 @@ struct RunLogEntryView {
   bool shutdown_reclaimed = false;
 };
 
-/// The materialised form of RunLogEntryView (detail copied out).
-struct RunLogEntry {
-  std::uint32_t index = 0;
-  fi::Outcome outcome = fi::Outcome::Correct;
-  std::string detail;
-  fi::FaultDomain domain = fi::FaultDomain::Register;
-  std::uint64_t injections = 0;
-  std::uint64_t uart_bytes = 0;
-  bool failure_detected = false;
-  std::uint64_t detect_latency_ms = 0;
-  bool shutdown_reclaimed = false;
-};
-
 /// Parse one run_log_line() without copying; error status on shape
 /// mismatch. Allocation-free on the success path.
 [[nodiscard]] util::Expected<RunLogEntryView> parse_run_log_line_view(
     std::string_view line);
 
-/// Parse one run_log_line(); error status on shape mismatch.
-[[nodiscard]] util::Expected<RunLogEntry> parse_run_log_line(std::string_view line);
-
-struct ParsedRunLog {
-  std::vector<RunLogEntry> entries;
+/// Everything the resume path needs from one pass over a run log,
+/// without materialising a single entry.
+struct RunLogScan {
+  /// Entries folded in file order (= run order). The live sink also
+  /// folds in run order, so for a complete log this aggregate is
+  /// bit-identical — floating-point latency stats included — to the one
+  /// the campaign kept, for any executor thread count: a completed
+  /// cell's aggregate can be recovered from its log file alone.
+  CampaignAggregate aggregate;
+  std::uint64_t entries = 0;  ///< well-formed run lines folded
   /// Lines that claimed to be run records ("run " prefix) but failed to
   /// parse — truncation, corruption. A resumable log must have none.
   std::size_t malformed_lines = 0;
@@ -105,31 +93,6 @@ struct ParsedRunLog {
   /// Counted, not fatal, so replay of a mixed log degrades gracefully in
   /// both directions — old parser on new logs and vice versa.
   std::size_t skipped_lines = 0;
-
-  /// Rebuild the Figure-3 unit of aggregation from the parsed entries.
-  [[nodiscard]] fi::OutcomeDistribution distribution() const;
-};
-
-[[nodiscard]] ParsedRunLog parse_run_log(std::string_view text);
-
-/// Rebuild the live LogSink's CampaignAggregate from a persisted run log,
-/// folding entries in file order (= run order). Because the sink also
-/// folds in run order, the rebuilt aggregate is bit-identical — including
-/// the floating-point latency stats — to the one the live campaign kept,
-/// for any executor thread count. This is the campaign-resume primitive:
-/// a completed cell's aggregate can be recovered from its log file alone.
-[[nodiscard]] CampaignAggregate aggregate_from_log(const ParsedRunLog& log);
-
-/// Everything the resume path needs from one pass over a run log,
-/// without materialising a single entry.
-struct RunLogScan {
-  /// Entries folded in file order — bit-identical to
-  /// aggregate_from_log(parse_run_log(text)), and therefore to the live
-  /// sink's aggregate for a complete log.
-  CampaignAggregate aggregate;
-  std::uint64_t entries = 0;          ///< well-formed run lines folded
-  std::size_t malformed_lines = 0;    ///< like ParsedRunLog
-  std::size_t skipped_lines = 0;      ///< like ParsedRunLog
   /// Every entry's index equalled its position (0, 1, 2, …): the
   /// completeness shape cell resume requires, checked inline so the
   /// indices never need storing.

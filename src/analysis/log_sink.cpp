@@ -1,5 +1,6 @@
 #include "analysis/log_sink.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 
@@ -67,19 +68,13 @@ void CampaignAggregate::merge(const CampaignAggregate& other) {
   reclaimed += other.reclaimed;
 }
 
-void LogSink::lock_release_window() const {
-  if (!release_mutex_.try_lock()) {
-    util::LogPipeCounters::instance().record_sink_contention();
-    release_mutex_.lock();
-  }
-}
-
 void LogSink::release_one(std::uint32_t index, const fi::RunResult& run) {
   // Folding here — in run order, not completion order — keeps the
   // aggregate's floating-point accumulation deterministic across thread
   // counts and identical to a replay of the persisted log.
   aggregate_.add(run);
   ++records_;
+  next_index_ = index + 1;
   line_buf_.clear();
   fi::append_run_log_line(line_buf_, index, run);
   line_buf_.push_back('\n');
@@ -102,89 +97,32 @@ void LogSink::release_one(std::uint32_t index, const fi::RunResult& run) {
   }
 }
 
-void LogSink::drain_locked(std::uint64_t already_released) {
-  // Caller holds release_mutex_. Walk the contiguous staged prefix; each
-  // probe re-checks its stripe under that stripe's lock, so a stage that
-  // raced with the previous probe is either seen here or — when it landed
-  // after this window moved on — drained by its own stager, which always
-  // re-reads next_index_ after staging.
-  std::uint64_t released = already_released;
-  for (;;) {
-    const std::uint32_t next = next_index_.load(std::memory_order_relaxed);
-    Stripe& stripe = stripes_[next % kNumStripes];
-    const std::lock_guard<std::mutex> stripe_lock(stripe.mutex);
-    const auto it = stripe.pending.find(next);
-    if (it == stripe.pending.end()) break;
-    release_one(it->first, it->second);
-    stripe.pending.erase(it);
-    next_index_.store(next + 1, std::memory_order_release);
-    ++released;
-  }
-  if (released != 0) {
-    util::LogPipeCounters::instance().record_sink_release(released);
-  }
-}
-
 void LogSink::record(std::uint32_t index, const fi::RunResult& run) {
   util::LogPipeCounters::instance().record_sink_record();
-  // Duplicate or already-released index: drop. Without this, a replayed
-  // run double-counts in the aggregate and — for a staged index — parks
-  // in a stripe forever, below next_index_.
-  if (index < next_index_.load(std::memory_order_acquire)) {
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // Already released, or already waiting: drop. Without this, a replayed
+  // run double-counts in the aggregate and re-emits its line.
+  if (index < next_index_) {
+    ++duplicates_;
     return;
   }
-  Stripe& stripe = stripes_[index % kNumStripes];
-
-  if (index == next_index_.load(std::memory_order_acquire)) {
-    // In-order fast path: this run is the very next to release, so take
-    // the window and emit it directly — no staging map, no copy of the
-    // RunResult, no allocation once line_buf_'s capacity is warm.
-    lock_release_window();
-    std::unique_lock<std::mutex> window(release_mutex_, std::adopt_lock);
-    if (next_index_.load(std::memory_order_relaxed) == index) {
-      {
-        // Advance under the stripe lock: a concurrent duplicate of this
-        // index either staged before (found here) or stages after and
-        // then fails the `< next_index_` check — never lingers unseen.
-        const std::lock_guard<std::mutex> stripe_lock(stripe.mutex);
-        if (stripe.pending.find(index) != stripe.pending.end()) {
-          duplicates_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        release_one(index, run);
-        next_index_.store(index + 1, std::memory_order_release);
-      }
-      drain_locked(1);
-      return;
-    }
-    // Lost the race: another thread released this index first (it can
-    // only advance past us by releasing a staged copy — a duplicate).
-    window.unlock();
-    if (index < next_index_.load(std::memory_order_acquire)) {
-      duplicates_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+  if (index != next_index_) {
+    if (!pending_.emplace(index, run).second) ++duplicates_;
+    return;
   }
-
-  // Out-of-order: stage into this index's stripe.
-  {
-    const std::lock_guard<std::mutex> stripe_lock(stripe.mutex);
-    if (index < next_index_.load(std::memory_order_acquire) ||
-        !stripe.pending.emplace(index, run).second) {
-      duplicates_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+  // The next index: emit it directly — no staging, no copy of the
+  // RunResult, no allocation once line_buf_'s capacity is warm — then
+  // every early arrival the gap before it held back. pending_ only ever
+  // holds indices above next_index_, so this index cannot be waiting.
+  release_one(index, run);
+  std::uint64_t released = 1;
+  for (auto it = pending_.begin();
+       it != pending_.end() && it->first == next_index_;
+       it = pending_.erase(it)) {
+    release_one(it->first, it->second);
+    ++released;
   }
-  // The stager of the current next index is responsible for draining it:
-  // if the window advanced to this index between the check above and the
-  // stage, the drainer that advanced it may already have probed this
-  // stripe and moved on, so re-check and drain ourselves.
-  if (index == next_index_.load(std::memory_order_acquire)) {
-    lock_release_window();
-    const std::lock_guard<std::mutex> window(release_mutex_, std::adopt_lock);
-    drain_locked(0);
-  }
+  util::LogPipeCounters::instance().record_sink_release(released);
 }
 
 void LogSink::record_all(const fi::CampaignResult& result) {
@@ -194,30 +132,27 @@ void LogSink::record_all(const fi::CampaignResult& result) {
 }
 
 CampaignAggregate LogSink::aggregate() const {
-  lock_release_window();
-  const std::lock_guard<std::mutex> lock(release_mutex_, std::adopt_lock);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return aggregate_;
 }
 
 std::uint64_t LogSink::records() const {
-  lock_release_window();
-  const std::lock_guard<std::mutex> lock(release_mutex_, std::adopt_lock);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return records_;
 }
 
 std::uint64_t LogSink::duplicates() const {
-  return duplicates_.load(std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return duplicates_;
 }
 
 std::string LogSink::text() const {
-  lock_release_window();
-  const std::lock_guard<std::mutex> lock(release_mutex_, std::adopt_lock);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return text_;
 }
 
 void LogSink::flush() {
-  lock_release_window();
-  const std::lock_guard<std::mutex> lock(release_mutex_, std::adopt_lock);
+  const std::lock_guard<std::mutex> lock(mutex_);
   if (stream_ != nullptr) stream_->flush();
   util::LogPipeCounters::instance().record_sink_flush();
 }

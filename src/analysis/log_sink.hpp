@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -65,21 +64,14 @@ struct CampaignAggregate {
 /// to the attached stream strictly in run order, so a campaign sharded
 /// over N threads streams the exact log file the serial engine wrote.
 ///
-/// Internally the sink is striped: out-of-order completions stage into one
-/// of kNumStripes independently-locked pending maps (stripe = index mod
-/// kNumStripes), so workers finishing far-apart indices never contend on
-/// one mutex. A separate *release window* — the only place lines are
-/// rendered, folded and emitted — drains the contiguous prefix in run
-/// order. An arrival that IS the next index to release takes a fast path
-/// straight through the window without touching any staging map, so a
-/// serial (or mostly-in-order) campaign stages nothing: one reusable
-/// render buffer plus fi::append_run_log_line keep the steady-state
-/// release path allocation-free (pinned by AllocationObserver in the
-/// tests).
-///
-/// Lock order: the release mutex is always taken before any stripe mutex,
-/// never the reverse, so the window can inspect stripes while stagers
-/// only ever hold their own stripe.
+/// One mutex guards everything. The executor already serialises its
+/// progress callbacks, so a second level of locking inside the sink would
+/// only ever be uncontended. A run whose index is the next to release is
+/// rendered and emitted at once; an early arrival waits in `pending_`
+/// until the gap before it closes. An in-order campaign therefore stages
+/// nothing: one reusable render buffer plus fi::append_run_log_line keep
+/// the steady-state release path allocation-free (pinned by
+/// AllocationObserver in the tests).
 class LogSink {
  public:
   /// Retaining sink: the ordered log body accumulates and is read back
@@ -121,36 +113,19 @@ class LogSink {
   /// LogPipeCounters so the pipeline stats show explicit flushes.
   void flush();
 
-  /// Staging stripes: a power of two so the index→stripe map is a mask.
-  static constexpr std::size_t kNumStripes = 8;
-
  private:
-  struct Stripe {
-    std::mutex mutex;
-    std::map<std::uint32_t, fi::RunResult> pending;  ///< out-of-order backlog
-  };
-
-  /// Acquire the release window, counting a failed try_lock as contention.
-  void lock_release_window() const;
-
-  /// Render + fold + emit one run. Caller holds release_mutex_.
+  /// Render + fold + emit one run. Caller holds mutex_.
   void release_one(std::uint32_t index, const fi::RunResult& run);
 
-  /// Drain the contiguous staged prefix starting at next_index_. Caller
-  /// holds release_mutex_; `already_released` folds fast-path lines into
-  /// the batch counter.
-  void drain_locked(std::uint64_t already_released);
-
-  mutable std::mutex release_mutex_;  ///< guards everything below
+  mutable std::mutex mutex_;  ///< guards everything below
   std::ostream* stream_ = nullptr;
   std::string text_;
   std::string line_buf_;  ///< reusable render scratch, capacity stays warm
   std::uint64_t records_ = 0;
+  std::uint64_t duplicates_ = 0;
   CampaignAggregate aggregate_;
-
-  std::array<Stripe, kNumStripes> stripes_;
-  std::atomic<std::uint32_t> next_index_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
+  std::uint32_t next_index_ = 0;  ///< the next index to release
+  std::map<std::uint32_t, fi::RunResult> pending_;  ///< early arrivals
 };
 
 }  // namespace mcs::analysis

@@ -299,14 +299,18 @@ util::Expected<SweepSpec> parse_sweep_spec(std::string_view text) {
       for (const std::string& token : util::split(rest, ' ')) {
         if (util::trim(token).empty()) continue;
         auto value = jh::parse_config_number(util::trim(token));
-        if (!value.is_ok() || value.value() == 0) {
-          return fail("bad rate '" + token + "' (need a call count ≥ 1)");
+        if (!value.is_ok() || value.value() == 0 ||
+            value.value() > UINT32_MAX) {
+          return fail("bad rate '" + token +
+                      "' (need a call count from 1 to 4294967295)");
         }
         spec.rates.push_back(static_cast<std::uint32_t>(value.value()));
       }
     } else if (keyword == "runs") {
       auto value = jh::parse_config_number(rest);
-      if (!value.is_ok() || value.value() == 0) return fail("bad runs count");
+      if (!value.is_ok() || value.value() == 0 || value.value() > UINT32_MAX) {
+        return fail("bad runs count");
+      }
       spec.runs = static_cast<std::uint32_t>(value.value());
     } else if (keyword == "seed") {
       auto value = jh::parse_config_number(rest);

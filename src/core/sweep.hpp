@@ -15,7 +15,7 @@
 // plan, and therefore its runs, depend only on the spec, never on which
 // cells happen to execute or resume. With per-cell logs persisted, an
 // interrupted sweep re-invoked with the same spec rebuilds completed
-// cells' aggregates from their logs (analysis::aggregate_from_log),
+// cells' aggregates from their logs (analysis::scan_run_log),
 // re-executes only incomplete cells, and produces a bit-identical result.
 // A sidecar fingerprint per cell ties each log to the exact plan that
 // wrote it, so reusing a log directory with a changed spec re-executes

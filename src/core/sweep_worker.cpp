@@ -11,7 +11,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <thread>
@@ -281,26 +280,6 @@ void CellLease::release() {
 
 void CellLease::abandon() noexcept { path_.clear(); }
 
-std::vector<LeaseInfo> list_leases(const std::string& log_dir) {
-  std::vector<LeaseInfo> leases;
-  std::error_code ec;
-  for (fs::directory_iterator it(log_dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.size() <= 6 || name.compare(name.size() - 6, 6, ".lease") != 0) {
-      continue;
-    }
-    if (auto info = CellLease::read(log_dir, name.substr(0, name.size() - 6))) {
-      leases.push_back(std::move(*info));
-    }
-  }
-  std::sort(leases.begin(), leases.end(),
-            [](const LeaseInfo& a, const LeaseInfo& b) {
-              return a.cell_id < b.cell_id;
-            });
-  return leases;
-}
-
 // --- spec file ---------------------------------------------------------------
 
 util::Status write_spec_file(const SweepSpec& spec) {
@@ -546,27 +525,6 @@ util::Expected<SweepResult> run_distributed_sweep(
   // single-process driver by construction.
   SweepDriver driver(spec, executor);
   return driver.execute();
-}
-
-// --- status rendering --------------------------------------------------------
-
-std::string render_sweep_status(const SweepStatus& status) {
-  std::ostringstream out;
-  out << "job " << status.job << "\n"
-      << "cells " << status.cells_done << "/" << status.cells_total << "\n";
-  out << std::fixed << std::setprecision(1);
-  out << "runs_per_sec " << status.runs_per_sec << "\n";
-  if (status.eta_seconds < 0) {
-    out << "eta_seconds unknown\n";
-  } else {
-    out << "eta_seconds " << status.eta_seconds << "\n";
-  }
-  for (const LeaseInfo& lease : status.leases) {
-    out << "lease " << lease.cell_id << " worker " << lease.worker_id
-        << " pid " << lease.pid << " heartbeats " << lease.heartbeats
-        << " age " << lease.age_seconds << "s\n";
-  }
-  return out.str();
 }
 
 }  // namespace mcs::fi

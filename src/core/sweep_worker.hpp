@@ -52,7 +52,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/sweep.hpp"
 
@@ -126,11 +125,6 @@ class CellLease {
   std::uint64_t generation_ = 0;
   bool stole_ = false;
 };
-
-/// Every lease currently present in a logdir, sorted by cell id — the
-/// live "who is working on what" table sweepd surfaces in its status
-/// file.
-[[nodiscard]] std::vector<LeaseInfo> list_leases(const std::string& log_dir);
 
 /// The spec a distributed sweep persists into its logdir
 /// (`<logdir>/sweep.spec`) so `--join` workers expand the identical grid.
@@ -232,27 +226,5 @@ struct DistributedSweepOptions {
 [[nodiscard]] util::Expected<SweepResult> run_distributed_sweep(
     const SweepSpec& spec, const ExecutorConfig& executor,
     const DistributedSweepOptions& options);
-
-/// The live progress snapshot sweepd (and the `--workers` coordinator)
-/// renders into a status file next to the job queue.
-struct SweepStatus {
-  std::string job;
-  std::size_t cells_done = 0;
-  std::size_t cells_total = 0;
-  double runs_per_sec = 0.0;
-  double eta_seconds = 0.0;  ///< < 0 → unknown (no completed cell yet)
-  std::vector<LeaseInfo> leases;
-};
-
-/// Render a status snapshot as stable, line-oriented text:
-///
-///   job <name>
-///   cells <done>/<total>
-///   runs_per_sec <r>
-///   eta_seconds <e|unknown>
-///   lease <cell> worker <id> pid <p> heartbeats <n> age <s>s
-///
-/// Persist it with write_text_atomic so readers never see a torn file.
-[[nodiscard]] std::string render_sweep_status(const SweepStatus& status);
 
 }  // namespace mcs::fi

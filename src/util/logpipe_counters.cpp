@@ -11,8 +11,6 @@ LogPipeCounters::Stats LogPipeCounters::stats() const noexcept {
   Stats out;
   out.sink_records = sink_records_.load(std::memory_order_relaxed);
   out.sink_lines = sink_lines_.load(std::memory_order_relaxed);
-  out.sink_batches = sink_batches_.load(std::memory_order_relaxed);
-  out.sink_contention = sink_contention_.load(std::memory_order_relaxed);
   out.sink_flushes = sink_flushes_.load(std::memory_order_relaxed);
   out.bytes_mapped = bytes_mapped_.load(std::memory_order_relaxed);
   out.map_fallbacks = map_fallbacks_.load(std::memory_order_relaxed);
@@ -25,8 +23,6 @@ LogPipeCounters::Stats LogPipeCounters::stats() const noexcept {
 void LogPipeCounters::reset() noexcept {
   sink_records_.store(0, std::memory_order_relaxed);
   sink_lines_.store(0, std::memory_order_relaxed);
-  sink_batches_.store(0, std::memory_order_relaxed);
-  sink_contention_.store(0, std::memory_order_relaxed);
   sink_flushes_.store(0, std::memory_order_relaxed);
   bytes_mapped_.store(0, std::memory_order_relaxed);
   map_fallbacks_.store(0, std::memory_order_relaxed);

@@ -4,8 +4,8 @@
 // The pipeline has three tiers — write (LogSink render/release), read
 // (MappedFile + the zero-copy run-log scanner) and resume (parallel
 // rebuild of completed sweep cells) — and each records what it actually
-// did here, so `sweep`'s stderr epilogue and bench_logpipe can report
-// lines/sec, bytes mapped, sink contention and flush counts without any
+// did here, so `sweep`'s stderr epilogue and perfbench can report lines
+// sunk and scanned, bytes mapped and flush counts without any
 // instrumentation in the hot paths beyond one relaxed atomic add.
 #pragma once
 
@@ -27,8 +27,6 @@ class LogPipeCounters {
     // Write tier (LogSink).
     std::uint64_t sink_records = 0;     ///< record() calls accepted or dropped
     std::uint64_t sink_lines = 0;       ///< lines rendered + released, in order
-    std::uint64_t sink_batches = 0;     ///< release-window drain sessions
-    std::uint64_t sink_contention = 0;  ///< release-window lock waits
     std::uint64_t sink_flushes = 0;     ///< explicit stream flushes
     // Read tier (MappedFile + run-log scanner).
     std::uint64_t bytes_mapped = 0;     ///< bytes served via mmap views
@@ -46,9 +44,7 @@ class LogPipeCounters {
   void record_sink_record() noexcept { add(sink_records_); }
   void record_sink_release(std::uint64_t lines) noexcept {
     sink_lines_.fetch_add(lines, std::memory_order_relaxed);
-    add(sink_batches_);
   }
-  void record_sink_contention() noexcept { add(sink_contention_); }
   void record_sink_flush() noexcept { add(sink_flushes_); }
   void record_map(std::uint64_t bytes) noexcept {
     bytes_mapped_.fetch_add(bytes, std::memory_order_relaxed);
@@ -70,8 +66,6 @@ class LogPipeCounters {
 
   std::atomic<std::uint64_t> sink_records_{0};
   std::atomic<std::uint64_t> sink_lines_{0};
-  std::atomic<std::uint64_t> sink_batches_{0};
-  std::atomic<std::uint64_t> sink_contention_{0};
   std::atomic<std::uint64_t> sink_flushes_{0};
   std::atomic<std::uint64_t> bytes_mapped_{0};
   std::atomic<std::uint64_t> map_fallbacks_{0};

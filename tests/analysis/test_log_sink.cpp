@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/log_parser.hpp"
 #include "analysis/stats.hpp"
 #include "core/executor.hpp"
+#include "util/line_scanner.hpp"
 
 namespace mcs::analysis {
 namespace {
@@ -217,10 +220,22 @@ TEST(LogSink, TextMatchesSerialRenderOfShardedCampaign) {
   });
   const fi::CampaignResult result = executor.execute();
 
-  // The sharded sink streams exactly the serial engine's log body.
+  // Fed by a sharded campaign, the sink streams exactly the serial
+  // engine's log body.
   LogSink serial;
   serial.record_all(result);
   EXPECT_EQ(sink.text(), serial.text());
+}
+
+/// The run lines of a log body, parsed in place. The views point into
+/// `text`, which must outlive them.
+std::vector<RunLogEntryView> run_entries(std::string_view text) {
+  std::vector<RunLogEntryView> entries;
+  util::for_each_line(text, [&entries](std::string_view line) {
+    auto entry = parse_run_log_line_view(line);
+    if (entry.is_ok()) entries.push_back(entry.value());
+  });
+  return entries;
 }
 
 TEST(LogSink, RoundTripsThroughTheRunLogParser) {
@@ -234,22 +249,25 @@ TEST(LogSink, RoundTripsThroughTheRunLogParser) {
   sink.record(0, run);
   sink.record(1, make_run(fi::Outcome::Correct, 2));
 
-  const ParsedRunLog parsed = parse_run_log(sink.text());
-  EXPECT_EQ(parsed.malformed_lines, 0u);
-  ASSERT_EQ(parsed.entries.size(), 2u);
-  EXPECT_EQ(parsed.entries[0].index, 0u);
-  EXPECT_EQ(parsed.entries[0].outcome, fi::Outcome::PanicPark);
-  EXPECT_EQ(parsed.entries[0].detail, "HYP stack pointer corrupted");
-  EXPECT_EQ(parsed.entries[0].injections, 7u);
-  EXPECT_EQ(parsed.entries[0].uart_bytes, 123u);
-  EXPECT_EQ(parsed.entries[0].detect_latency_ms, 42u);
-  EXPECT_TRUE(parsed.entries[0].failure_detected);
-  EXPECT_FALSE(parsed.entries[0].shutdown_reclaimed);
-  EXPECT_EQ(parsed.entries[1].outcome, fi::Outcome::Correct);
+  const std::string text = sink.text();
+  const RunLogScan scan = scan_run_log(text);
+  EXPECT_EQ(scan.malformed_lines, 0u);
+  ASSERT_EQ(scan.entries, 2u);
+  const std::vector<RunLogEntryView> entries = run_entries(text);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].index, 0u);
+  EXPECT_EQ(entries[0].outcome, fi::Outcome::PanicPark);
+  EXPECT_EQ(entries[0].detail, "HYP stack pointer corrupted");
+  EXPECT_EQ(entries[0].injections, 7u);
+  EXPECT_EQ(entries[0].uart_bytes, 123u);
+  EXPECT_EQ(entries[0].detect_latency_ms, 42u);
+  EXPECT_TRUE(entries[0].failure_detected);
+  EXPECT_FALSE(entries[0].shutdown_reclaimed);
+  EXPECT_EQ(entries[1].outcome, fi::Outcome::Correct);
   // An undetected run carries no latency field: the flag — not a zero
   // value — is what offline latency analytics must key on.
-  EXPECT_FALSE(parsed.entries[1].failure_detected);
-  EXPECT_EQ(parsed.distribution().count(fi::Outcome::PanicPark), 1u);
+  EXPECT_FALSE(entries[1].failure_detected);
+  EXPECT_EQ(scan.aggregate.distribution.count(fi::Outcome::PanicPark), 1u);
 }
 
 TEST(RunLogParser, RejectsMalformedLines) {
@@ -258,20 +276,23 @@ TEST(RunLogParser, RejectsMalformedLines) {
   EXPECT_EQ(outcome, fi::Outcome::PanicPark);
   EXPECT_FALSE(fi::outcome_from_name("not-an-outcome", outcome));
 
-  EXPECT_FALSE(parse_run_log_line("garbage").is_ok());
-  EXPECT_FALSE(parse_run_log_line("run x: correct — d (injections=1, "
-                                  "usart_bytes=2)")
+  EXPECT_FALSE(parse_run_log_line_view("garbage").is_ok());
+  EXPECT_FALSE(parse_run_log_line_view("run x: correct — d (injections=1, "
+                                       "usart_bytes=2)")
                    .is_ok());
   // A foreign record kind is skipped (counted, not fatal); a line that
   // claims to be a run record but is truncated is malformed — resume
   // tolerates the former and rejects the latter.
-  const ParsedRunLog parsed = parse_run_log(
+  const std::string_view text =
       "nonsense\n\nrun 0: correct — ok (injections=1, usart_bytes=9)\n"
-      "run 1: correct — truncated (inject\n");
-  EXPECT_EQ(parsed.skipped_lines, 1u);
-  EXPECT_EQ(parsed.malformed_lines, 1u);
-  ASSERT_EQ(parsed.entries.size(), 1u);
-  EXPECT_EQ(parsed.entries[0].uart_bytes, 9u);
+      "run 1: correct — truncated (inject\n";
+  const RunLogScan scan = scan_run_log(text);
+  EXPECT_EQ(scan.skipped_lines, 1u);
+  EXPECT_EQ(scan.malformed_lines, 1u);
+  ASSERT_EQ(scan.entries, 1u);
+  const std::vector<RunLogEntryView> entries = run_entries(text);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].uart_bytes, 9u);
 }
 
 }  // namespace

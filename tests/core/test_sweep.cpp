@@ -68,6 +68,26 @@ TEST(SweepSpec, RejectsMalformedInput) {
       parse_sweep_spec("scenario a\nrate 100\nboard b b\n").is_ok());
 }
 
+TEST(SweepSpec, RejectsRatesAndRunsAboveTheir32BitRange) {
+  // Both are 32-bit in the plan: a larger value must be refused with its
+  // line number, not wrapped into a different, valid-looking grid.
+  const auto rejected = [](const std::string& text, const std::string& line) {
+    auto parsed = parse_sweep_spec(text);
+    EXPECT_EQ(parsed.status().code(), util::Code::EInval) << text;
+    EXPECT_NE(parsed.status().to_string().find(line), std::string::npos)
+        << parsed.status().to_string();
+  };
+  rejected("scenario a\nrate 4294967396\n", "line 2");
+  rejected("scenario a\nrate 100 4294967296\n", "line 2");
+  rejected("scenario a\nrate 100\nruns 4294967298\n", "line 3");
+
+  auto widest =
+      parse_sweep_spec("scenario a\nrate 4294967295\nruns 0xFFFFFFFF\n");
+  ASSERT_TRUE(widest.is_ok()) << widest.status().to_string();
+  EXPECT_EQ(widest.value().rates, (std::vector<std::uint32_t>{UINT32_MAX}));
+  EXPECT_EQ(widest.value().runs, UINT32_MAX);
+}
+
 // --- grid expansion ---------------------------------------------------------
 
 SweepSpec small_spec() {

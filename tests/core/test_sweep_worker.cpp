@@ -285,21 +285,6 @@ TEST_F(CellLeaseTest, HeartbeatDetectsTheftAndYields) {
   EXPECT_EQ(CellLease::read(dir(), "cell")->worker_id, "thief");
 }
 
-TEST_F(CellLeaseTest, ListLeasesSortsByCellAndSkipsForeignFiles) {
-  auto b = CellLease::try_claim(dir(), "b_cell", "beta", 60s);
-  auto a = CellLease::try_claim(dir(), "a_cell", "alpha", 60s);
-  ASSERT_TRUE(a.is_ok() && b.is_ok());
-  std::ofstream(fs::path(dir()) / "a_cell.runlog") << "run 0: CORRECT\n";
-  std::ofstream(fs::path(dir()) / "sweep.spec") << "scenario x\nrate 1\n";
-
-  const std::vector<LeaseInfo> leases = list_leases(dir());
-  ASSERT_EQ(leases.size(), 2u);
-  EXPECT_EQ(leases[0].cell_id, "a_cell");
-  EXPECT_EQ(leases[0].worker_id, "alpha");
-  EXPECT_EQ(leases[1].cell_id, "b_cell");
-  EXPECT_EQ(leases[1].worker_id, "beta");
-}
-
 // --- atomic writes -----------------------------------------------------------
 
 TEST_F(CellLeaseTest, WriteTextAtomicCommitsWholeFilesAndLeavesNoLitter) {
@@ -379,36 +364,6 @@ TEST(SweepSpecRoundTrip, SpecFileHonoursTheJoinersLogdir) {
   EXPECT_FALSE(write_spec_file(SweepSpec{}).is_ok());  // no logdir
   EXPECT_FALSE(read_spec_file((dir / "nope").string()).is_ok());
   fs::remove_all(dir);
-}
-
-// --- status rendering --------------------------------------------------------
-
-TEST(SweepStatusRender, StableLineOrientedShape) {
-  SweepStatus status;
-  status.job = "paper-grid";
-  status.cells_done = 3;
-  status.cells_total = 8;
-  status.runs_per_sec = 41.25;
-  status.eta_seconds = 12.5;
-  LeaseInfo lease;
-  lease.cell_id = "freertos-steady_r100";
-  lease.worker_id = "w1";
-  lease.pid = 4242;
-  lease.heartbeats = 7;
-  lease.age_seconds = 1.25;
-  status.leases.push_back(lease);
-
-  EXPECT_EQ(render_sweep_status(status),
-            "job paper-grid\n"
-            "cells 3/8\n"
-            "runs_per_sec 41.2\n"
-            "eta_seconds 12.5\n"
-            "lease freertos-steady_r100 worker w1 pid 4242 heartbeats 7 "
-            "age 1.2s\n");
-
-  status.eta_seconds = -1.0;  // nothing executed yet → unknown
-  EXPECT_NE(render_sweep_status(status).find("eta_seconds unknown"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -52,7 +52,8 @@ TEST(RoundTrip, LiveAggregateEqualsLogRebuildForEveryScenarioAndThreads) {
     plan.seed = 0xABCDEF ^ std::hash<std::string>{}(scenario);
 
     for (const unsigned threads : {1u, 4u, 8u}) {
-      fi::CampaignExecutor executor(plan, {threads, true});
+      fi::CampaignExecutor executor(
+          plan, {.threads = threads, .probe_recovery = true});
       analysis::LogSink sink;  // retaining: text() is the log file body
       executor.set_progress(
           [&sink](std::uint32_t index, const fi::RunResult& run) {
@@ -61,11 +62,12 @@ TEST(RoundTrip, LiveAggregateEqualsLogRebuildForEveryScenarioAndThreads) {
       const fi::CampaignResult result = executor.execute();
       ASSERT_EQ(result.runs.size(), plan.runs);
 
-      const analysis::ParsedRunLog parsed = analysis::parse_run_log(sink.text());
-      EXPECT_EQ(parsed.malformed_lines, 0u);
-      ASSERT_EQ(parsed.entries.size(), plan.runs);
+      const analysis::RunLogScan scan = analysis::scan_run_log(sink.text());
+      EXPECT_EQ(scan.malformed_lines, 0u);
+      ASSERT_EQ(scan.entries, plan.runs);
+      EXPECT_TRUE(scan.indices_sequential);
       expect_same_aggregate(
-          sink.aggregate(), analysis::aggregate_from_log(parsed),
+          sink.aggregate(), scan.aggregate,
           scenario + " @" + std::to_string(threads) + " threads");
     }
   }

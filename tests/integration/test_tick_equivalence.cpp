@@ -37,7 +37,9 @@ TestPlan equivalence_plan(const std::string& scenario) {
 CampaignCapture run_campaign(const TestPlan& plan, jh::TickPolicy policy,
                              unsigned threads) {
   CampaignCapture capture;
-  CampaignExecutor executor(plan, {threads, /*probe_recovery=*/true, policy});
+  CampaignExecutor executor(plan, {.threads = threads,
+                                   .probe_recovery = true,
+                                   .tick_policy = policy});
   analysis::LogSink sink;
   executor.set_progress([&sink](std::uint32_t index, const RunResult& run) {
     sink.record(index, run);
