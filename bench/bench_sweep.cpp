@@ -1,9 +1,9 @@
 // Sweep-driver throughput: what the multi-campaign outer loop costs on
-// top of the sharded executor it drives.
+// top of the run queue it drives.
 //
 // BM_SweepThroughput runs a fixed 2×2 grid (two scenarios × the paper's
-// two intensity rates) end to end — grid expansion, per-cell campaign
-// execution, aggregate folding — at 1/2/4/8 executor threads, so the
+// two intensity rates) end to end — grid expansion, every cell's runs on
+// one run queue, aggregate folding — at 1/2/4/8 queue workers, so the
 // sweep layer's scaling can be tracked next to BM_ExecutorThroughput's.
 //
 // BM_DistributedThroughput runs the same end-to-end path through the

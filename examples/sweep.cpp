@@ -2,11 +2,13 @@
 // intensities (rates) × boards — as one resumable campaign sweep, on one
 // process or on many.
 //
-// Each grid cell executes through the sharded CampaignExecutor; its run
-// log streams to <logdir>/<cell>.runlog. Re-invoking with the same spec
-// and logdir resumes: completed cells are rebuilt from their logs and
-// skipped, and the final comparison report is byte-identical to an
-// uninterrupted run's (the determinism the resume CI step diffs).
+// The runs of every grid cell go to one run queue of --threads workers,
+// which learn each rewind key once and serve every cell that shares it;
+// each cell's run log streams to <logdir>/<cell>.runlog and commits when
+// its last run lands. Re-invoking with the same spec and logdir resumes:
+// completed cells are rebuilt from their logs and skipped, and the final
+// comparison report is byte-identical to an uninterrupted run's (the
+// determinism the resume CI step diffs).
 //
 //   $ ./sweep --scenarios freertos-steady,dual-cell --rates 100,50 --runs 8
 //   $ ./sweep ... --logdir sweep-logs > report.txt   # per-cell logs, resumable
@@ -55,7 +57,9 @@ void usage(std::ostream& out) {
          "  --duration T          observation window ticks (default: plan's)\n"
          "  --tuning TEXT         cell tuning, ';'-separated lines\n"
          "  --logdir DIR          persist per-cell run logs; enables resume\n"
-         "  --threads N           executor threads per cell (default: auto)\n"
+         "  --threads N           width of the sweep's one run queue, which\n"
+         "                        serves every cell (default: auto; with\n"
+         "                        --workers/--join: per process, per cell)\n"
          "distributed execution (multi-process cell leasing over --logdir):\n"
          "  --workers N           fork N worker processes over the logdir,\n"
          "                        wait, and render the merged report\n"

@@ -1,10 +1,9 @@
 #include "core/executor.hpp"
 
-#include <atomic>
-#include <mutex>
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/injector.hpp"
 #include "core/monitor.hpp"
@@ -69,24 +68,45 @@ CampaignExecutor::CampaignExecutor(TestPlan plan, ExecutorConfig config)
       config_.tick_policy == jh::TickPolicy::PerTick ? "pertick" : "event";
   machine_tuning_ = machine_tuning_key(tuning_);
   pool_extra_key_ = plan_.scenario + '\x1f' + policy_tag;
+  scenario_ = find_scenario(plan_.scenario);
+  // Campaigns that can only produce HarnessErrors lease no slot and keep
+  // an empty rewind key.
+  if (board_ != nullptr && scenario_ != nullptr && tuning_status_.is_ok() &&
+      plan_.rate != 0) {
+    rewind_key_ = board_name_ + '\x1f' + machine_tuning_ + '\x1f' +
+                  pool_extra_key_ + '\x1f' +
+                  std::to_string(static_cast<int>(plan_.target)) + '\x1f' +
+                  std::to_string(plan_.cpu_filter) + '\x1f' +
+                  std::to_string(plan_.first_injection_call()) + '\x1f' +
+                  (scenario_->arm_during_boot(plan_) ? "boot" : "window") +
+                  '\x1f' + std::to_string(plan_.duration_ticks);
+  }
 }
 
-TestbedLease CampaignExecutor::lease_slot(const Scenario* scenario) const {
+TestbedLease CampaignExecutor::lease_slot() const {
   // Don't provision hardware for campaigns whose every run is a
   // HarnessError anyway (unknown scenario/board, malformed tuning, rate 0).
-  if (board_ == nullptr || scenario == nullptr || !tuning_status_.is_ok() ||
-      plan_.rate == 0) {
-    return TestbedLease{};
-  }
+  if (rewind_key_.empty()) return TestbedLease{};
   // Slots are keyed by scenario and tick policy too, so a parked slot's
   // rewind point is one its next campaign may share.
   return TestbedPool::instance().acquire(board_name_, machine_tuning_, *board_,
                                          pool_extra_key_);
 }
 
-RunResult CampaignExecutor::run_with(const Scenario* scenario,
-                                     std::uint64_t run_seed,
-                                     Testbed* reused) const {
+bool CampaignExecutor::shares_slot_with(const CampaignExecutor& other) const {
+  return rewind_key_.empty() == other.rewind_key_.empty() &&
+         board_name_ == other.board_name_ &&
+         machine_tuning_ == other.machine_tuning_ &&
+         pool_extra_key_ == other.pool_extra_key_;
+}
+
+bool CampaignExecutor::learns_cheaply(const Testbed* slot) const {
+  return slot == nullptr || !slot->has_snapshot(rewind_key_) ||
+         !scenario_->flat_window(*slot);
+}
+
+RunResult CampaignExecutor::run_with(std::uint64_t run_seed, Testbed* reused) const {
+  const Scenario* scenario = scenario_;
   if (scenario == nullptr) {
     return harness_error("unknown scenario '" + plan_.scenario + "'");
   }
@@ -160,7 +180,7 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
     monitor.begin(*testbed);
     if (!arm_during_boot) injector.attach(testbed->hypervisor());
     if (reused != nullptr) {
-      end = learn_window(*scenario, *testbed, monitor, injector);
+      end = learn_window(*testbed, monitor, injector);
     } else {
       scenario->observe(*testbed, plan_);
     }
@@ -200,8 +220,8 @@ RunResult CampaignExecutor::run_with(const Scenario* scenario,
 }
 
 CampaignExecutor::WindowEnd CampaignExecutor::learn_window(
-    const Scenario& scenario, Testbed& testbed, const RunMonitor& monitor,
-    Injector& injector) const {
+    Testbed& testbed, const RunMonitor& monitor, Injector& injector) const {
+  const Scenario& scenario = *scenario_;
   const util::Ticks close =
       testbed.board().now() + util::Ticks{plan_.duration_ticks};
   // A point is shared only while nothing has been injected.
@@ -231,7 +251,7 @@ CampaignExecutor::WindowEnd CampaignExecutor::learn_window(
   // a point at the close holds no injecting call and needs no suffix.
   if (injector.injections() == 0 && testbed.has_snapshot(rewind_key_) &&
       testbed.board().now() < close) {
-    run_golden_suffix(scenario, testbed, monitor);
+    run_golden_suffix(testbed, monitor);
     injector.attach(testbed.hypervisor());  // the restore cleared the hook
     return resume_flat_window(testbed, injector);
   }
@@ -239,8 +259,9 @@ CampaignExecutor::WindowEnd CampaignExecutor::learn_window(
   return WindowEnd::Close;
 }
 
-void CampaignExecutor::run_golden_suffix(const Scenario& scenario, Testbed& testbed,
+void CampaignExecutor::run_golden_suffix(Testbed& testbed,
                                          const RunMonitor& monitor) const {
+  const Scenario& scenario = *scenario_;
   GoldenSuffix& golden = testbed.golden_suffix();
   const RunPoint point = testbed.snapshot().point;
   const util::Ticks close{point.window_close};
@@ -323,75 +344,117 @@ bool CampaignExecutor::probes(const RunResult& result) const {
 }
 
 RunResult CampaignExecutor::execute_one(std::uint64_t run_seed) const {
-  return run_with(find_scenario(plan_.scenario), run_seed, nullptr);
+  return run_with(run_seed, nullptr);
 }
 
 CampaignResult CampaignExecutor::execute() {
   CampaignResult result;
   result.plan = plan_;
   result.runs.resize(plan_.runs);  // pre-sized slots: one per run
+  RunQueue queue({this}, config_.threads);
+  queue.execute([&](std::size_t, std::uint32_t index, RunResult run) {
+    result.runs[index] = std::move(run);
+    if (progress_) progress_(index, result.runs[index]);
+  });
+  return result;
+}
 
-  // Seed expansion is serial and thread-count-independent; runs only ever
-  // see their own seed.
-  std::vector<std::uint64_t> seeds(plan_.runs);
-  util::SplitMix64 seeder(plan_.seed);
-  for (std::uint64_t& seed : seeds) seed = seeder.next();
-
-  const Scenario* scenario = find_scenario(plan_.scenario);
-  if (scenario != nullptr) {
-    rewind_key_ = board_name_ + '\x1f' + machine_tuning_ + '\x1f' +
-                  pool_extra_key_ + '\x1f' +
-                  std::to_string(static_cast<int>(plan_.target)) + '\x1f' +
-                  std::to_string(plan_.cpu_filter) + '\x1f' +
-                  std::to_string(plan_.first_injection_call()) + '\x1f' +
-                  (scenario->arm_during_boot(plan_) ? "boot" : "window") +
-                  '\x1f' + std::to_string(plan_.duration_ticks);
+std::size_t claim_run_group(const std::vector<RunGroupCounters>& groups,
+                            std::size_t own, unsigned width) {
+  const auto open = [](const RunGroupCounters& group) {
+    return group.claimed < group.runs;
+  };
+  if (own < groups.size() && open(groups[own])) return own;
+  std::uint64_t queued = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (open(groups[g]) && groups[g].workers == 0) return g;
+    queued += groups[g].runs;
   }
-
-  const unsigned threads =
-      config_.threads == 0 ? util::ThreadPool::default_threads() : config_.threads;
-  if (threads <= 1 || plan_.runs <= 1) {
-    // Serial path: run in the caller's thread, progress in run order. One
-    // pooled slot serves every run of the shard.
-    const TestbedLease lease =
-        plan_.runs > 0 ? lease_slot(scenario) : TestbedLease{};
-    for (std::uint32_t i = 0; i < plan_.runs; ++i) {
-      result.runs[i] = run_with(scenario, seeds[i], lease.get());
-      if (progress_) progress_(i, result.runs[i]);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const RunGroupCounters& group = groups[g];
+    if (!open(group)) continue;
+    const std::uint64_t share = (group.runs * width + queued - 1) / queued;
+    if (group.workers < share || (group.first_run_done && group.cheap_learning)) {
+      return g;
     }
-    return result;
   }
+  return kNoRunGroup;
+}
 
-  std::atomic<std::uint32_t> next{0};
-  std::mutex progress_mutex;
-  util::ThreadPool pool(threads);
-  // One self-scheduling job per pool worker (the pool clamps oversized
-  // requests, so ask it — not the raw config — how wide it really is).
+RunQueue::RunQueue(std::vector<const CampaignExecutor*> plans, unsigned threads)
+    : plans_(std::move(plans)) {
+  std::map<std::string, std::size_t> group_of;  // rewind key → group
+  std::uint64_t queued = 0;
+  for (std::size_t p = 0; p < plans_.size(); ++p) {
+    const TestPlan& plan = plans_[p]->plan();
+    if (plan.runs == 0) continue;
+    const auto [it, added] = group_of.emplace(plans_[p]->rewind_key_, group_runs_.size());
+    if (added) {
+      group_runs_.emplace_back();
+      counters_.emplace_back();
+    }
+    // Seed expansion is serial and thread-count-independent; runs only
+    // ever see their own seed.
+    util::SplitMix64 seeder(plan.seed);
+    for (std::uint32_t i = 0; i < plan.runs; ++i) {
+      group_runs_[it->second].push_back({p, i, seeder.next()});
+    }
+    counters_[it->second].runs += plan.runs;
+    queued += plan.runs;
+  }
+  const unsigned wanted = threads == 0 ? util::ThreadPool::default_threads() : threads;
+  width_ = static_cast<unsigned>(std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>({wanted, util::ThreadPool::kMaxThreads, queued})));
+}
+
+void RunQueue::execute(const ResultFn& on_result) {
+  if (width_ == 1) {
+    work(on_result);
+    return;
+  }
+  util::ThreadPool pool(width_);
   for (unsigned w = 0; w < pool.size(); ++w) {
-    pool.submit([&] {
-      // Each worker checks out one long-lived slot for its whole shard;
-      // the steady-state per-run path is restore + run, no locks. The
-      // lease is taken lazily on the first claimed run, so a campaign
-      // with fewer runs than workers never provisions surplus testbeds.
-      TestbedLease lease;
-      bool leased = false;
-      for (;;) {
-        const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= plan_.runs) return;
-        if (!leased) {
-          lease = lease_slot(scenario);
-          leased = true;
-        }
-        result.runs[i] = run_with(scenario, seeds[i], lease.get());
-        if (progress_) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          progress_(i, result.runs[i]);
-        }
-      }
-    });
+    pool.submit([this, &on_result] { work(on_result); });
   }
   pool.wait_idle();
-  return result;
+}
+
+void RunQueue::work(const ResultFn& on_result) {
+  // The steady-state per-run path is restore + run; the claim lock covers
+  // a few counters. The lease is taken on the first claimed run, so a
+  // worker that finds nothing to claim never provisions a testbed.
+  TestbedLease lease;
+  const CampaignExecutor* lessor = nullptr;  // whose slot key `lease` serves
+  std::size_t own = kNoRunGroup;  // the group of the worker's last run
+  bool cheap = false;  // what that run's slot showed about learning
+  for (;;) {
+    QueuedRun claimed{};
+    {
+      const std::lock_guard<std::mutex> lock(claim_mutex_);
+      if (own != kNoRunGroup && !counters_[own].first_run_done) {
+        counters_[own].first_run_done = true;
+        counters_[own].cheap_learning = cheap;
+      }
+      if (stopped_.load(std::memory_order_relaxed)) return;
+      const std::size_t g = claim_run_group(counters_, own, width_);
+      if (g == kNoRunGroup) return;
+      if (g != own) {
+        ++counters_[g].workers;
+        own = g;
+      }
+      claimed = group_runs_[g][counters_[g].claimed++];
+    }
+    const CampaignExecutor& executor = *plans_[claimed.plan];
+    if (lessor == nullptr || !lessor->shares_slot_with(executor)) {
+      lease.release();  // one slot per worker at a time
+      lease = executor.lease_slot();
+      lessor = &executor;
+    }
+    RunResult run = executor.run_with(claimed.seed, lease.get());
+    cheap = executor.learns_cheaply(lease.get());
+    const std::lock_guard<std::mutex> lock(result_mutex_);
+    on_result(claimed.plan, claimed.index, std::move(run));
+  }
 }
 
 }  // namespace mcs::fi

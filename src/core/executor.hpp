@@ -1,6 +1,7 @@
-// Campaign execution engine: shards a test plan's runs across worker
-// threads, each run on a private Testbed, with results written into
-// pre-assigned slots.
+// Campaign execution engine: runs a test plan's runs on worker threads,
+// each run on a private Testbed, with results written into pre-assigned
+// slots. RunQueue serves the runs of several plans (a sweep's cells) from
+// one set of workers; CampaignExecutor::execute() is its one-plan case.
 //
 // Determinism contract: a campaign's CampaignResult is bit-identical for
 // any thread count. Every run's seed comes from one serial SplitMix64
@@ -8,23 +9,32 @@
 // Injector/RNG), and each result lands in its own pre-sized slot — worker
 // scheduling can reorder *completion*, never *content*.
 //
-// Run lifecycle: each worker thread checks one long-lived (board,
-// testbed) slot out of the fi::TestbedPool for its whole shard. Besides
-// its power-on state, the slot holds one snapshot, a *rewind point*: the
-// latest tick boundary that every run of the plan shares. A run's seed
-// reaches only its Injector, which draws from its RNG only when it
-// injects, so all runs of a plan are identical up to the tick of their
-// first injecting call. The slot's first run for a rewind key is its
-// learning run: it restores power-on (Testbed::reset) and boots,
-// captures at window open if nothing was injected yet, and, when the
-// scenario's window is flat (one run_until to the close), steps tick by
-// tick until the injector has counted every call before the first
-// injecting one (or the window closes) and captures again there. Every
-// later run restores the point, resumes the monitor's marks and the
-// injector's call count from it, and runs only the rest of the window.
-// Scenarios whose first injection falls during boot have no rewind point
-// and restore power-on + boot per run. The board name and registry entry
-// are resolved once at construction, never in the per-run loop.
+// Run lifecycle: each worker holds one long-lived (board, testbed) slot
+// from the fi::TestbedPool at a time and keeps it across consecutive
+// groups of runs with the same slot key. Besides its power-on state, the
+// slot holds one snapshot, a *rewind point*: the latest tick boundary
+// that every run of the plan shares. A run's seed reaches only its
+// Injector, which draws from its RNG only when it injects, so all runs of
+// a plan are identical up to the tick of their first injecting call. The
+// slot's first run for a rewind key is its learning run: it restores
+// power-on (Testbed::reset) and boots, captures at window open if nothing
+// was injected yet, and, when the scenario's window is flat (one
+// run_until to the close), steps tick by tick until the injector has
+// counted every call before the first injecting one (or the window
+// closes) and captures again there. Every later run restores the point,
+// resumes the monitor's marks and the injector's call count from it, and
+// runs only the rest of the window. Scenarios whose first injection falls
+// during boot have no rewind point and restore power-on + boot per run.
+// The scenario, the board name and registry entry are resolved once at
+// construction, never in the per-run loop.
+//
+// Run queue: RunQueue groups the runs of its plans by rewind key, in plan
+// order, so a group's learning run pays for every run of the group that
+// its worker serves. Workers keep to their own group and join one already
+// in progress only below its share of the width, since each joiner learns
+// the key once more on its own slot (claim_run_group is the rule;
+// affinity scheduling after Markatos & LeBlanc, IEEE TPDS 1994). A plan
+// alone in the queue is one group whose share is the whole width.
 //
 // Golden suffix: right after a flat window's learning run captures its
 // point, it runs the rest of the window once more with a counting,
@@ -58,10 +68,14 @@
 // equivalence and decided-run suites assert it against execute_one).
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
@@ -89,14 +103,16 @@ struct ExecutorConfig {
   jh::TickPolicy tick_policy = jh::TickPolicy::EventDriven;
 };
 
+class RunQueue;
+
 class CampaignExecutor {
  public:
-  /// The scenario is resolved from plan.scenario via the ScenarioRegistry
-  /// at execute() time; an unknown key yields HarnessError runs. The
-  /// board is resolved here, once: tuning's `board` key overrides the
-  /// plan's, and the registry entry is cached so the per-run path never
-  /// re-locks the registry — an unknown board key yields HarnessError
-  /// runs, exactly as the per-run lookup did.
+  /// The scenario is resolved here from plan.scenario via the
+  /// ScenarioRegistry; an unknown key yields HarnessError runs. So is the
+  /// board: tuning's `board` key overrides the plan's, and the registry
+  /// entry is cached so the per-run path never re-locks the registry — an
+  /// unknown board key yields HarnessError runs, exactly as the per-run
+  /// lookup did.
   explicit CampaignExecutor(TestPlan plan, ExecutorConfig config = {});
 
   /// Per-run completion callback, fired as runs finish. With more than one
@@ -106,8 +122,11 @@ class CampaignExecutor {
   using ProgressFn = std::function<void(std::uint32_t, const RunResult&)>;
   void set_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
-  /// Execute all runs of the plan. Deterministic in (plan.seed, plan),
-  /// independent of config.threads.
+  /// Execute all runs of the plan: a RunQueue of this one plan at
+  /// config.threads workers. Deterministic in (plan.seed, plan),
+  /// independent of config.threads. One worker runs in the caller's
+  /// thread, in run order, and holds its slot's lease across progress
+  /// callbacks.
   [[nodiscard]] CampaignResult execute();
 
   /// Execute a single run with an explicit seed on a freshly constructed
@@ -126,11 +145,11 @@ class CampaignExecutor {
   }
 
  private:
+  friend class RunQueue;
+
   /// One run on `reused` (restored to its rewind point, else to power-on)
   /// or, when null, on a freshly built testbed (the oracle).
-  [[nodiscard]] RunResult run_with(const Scenario* scenario,
-                                   std::uint64_t run_seed,
-                                   Testbed* reused) const;
+  [[nodiscard]] RunResult run_with(std::uint64_t run_seed, Testbed* reused) const;
 
   /// How a window ended: at its close, on the golden trajectory (the
   /// golden suffix's result applies), or on a panicked machine.
@@ -139,14 +158,12 @@ class CampaignExecutor {
   /// The learning run's window on a pooled slot: capture the rewind
   /// point(s), run the point's golden suffix when it has one, then serve
   /// the run from the point like a restored run (else run to the close).
-  [[nodiscard]] WindowEnd learn_window(const Scenario& scenario, Testbed& testbed,
-                                       const RunMonitor& monitor,
+  [[nodiscard]] WindowEnd learn_window(Testbed& testbed, const RunMonitor& monitor,
                                        Injector& injector) const;
 
   /// Run the rest of the window fault-free from the held point, keeping
   /// its result, ladder and touch log with it; ends restored to the point.
-  void run_golden_suffix(const Scenario& scenario, Testbed& testbed,
-                         const RunMonitor& monitor) const;
+  void run_golden_suffix(Testbed& testbed, const RunMonitor& monitor) const;
 
   /// A flat window resumed at the point, split at the golden run's
   /// injecting ticks: stop when the run is decided, climb the ladder while
@@ -161,11 +178,23 @@ class CampaignExecutor {
   /// the campaign can only produce HarnessErrors (unknown scenario/board,
   /// malformed tuning, rate 0) — error campaigns must not provision
   /// hardware.
-  [[nodiscard]] TestbedLease lease_slot(const Scenario* scenario) const;
+  [[nodiscard]] TestbedLease lease_slot() const;
+
+  /// Whether a lease taken for `other` serves this executor's runs too.
+  [[nodiscard]] bool shares_slot_with(const CampaignExecutor& other) const;
+
+  /// Whether learning this rewind key on `slot` (after any of its runs)
+  /// costs no more than any other run: no slot (HarnessError runs), no
+  /// rewind point held (every run powers on and boots), or a structured
+  /// window, whose point is window open and has no golden suffix.
+  [[nodiscard]] bool learns_cheaply(const Testbed* slot) const;
 
   TestPlan plan_;
   ExecutorConfig config_;
   ProgressFn progress_;
+  /// plan_.scenario resolved once at construction (nullptr → per-run
+  /// HarnessError).
+  const Scenario* scenario_ = nullptr;
   /// plan_.cell_tuning parsed once at construction; runs reuse the value
   /// (or report the parse failure as a per-run HarnessError).
   jh::CellTuning tuning_;
@@ -184,10 +213,86 @@ class CampaignExecutor {
   std::string pool_extra_key_;
   /// Rewind key: the slot key plus what decides the shared prefix — hook
   /// target, CPU filter, first injecting call, arm-during-boot and window
-  /// length. Completed by execute() once the scenario is resolved; the
-  /// seed, fault model, registers, count, domain and the rate beyond the
-  /// first call stay out.
+  /// length; the seed, fault model, registers, count, domain and the rate
+  /// beyond the first call stay out. Empty for a campaign that can only
+  /// produce HarnessErrors, which leases no slot.
   std::string rewind_key_;
+};
+
+/// The claim rule's view of one group of a RunQueue: the queued runs of
+/// every plan with one rewind key.
+struct RunGroupCounters {
+  std::uint64_t runs = 0;       ///< runs in the group
+  std::uint64_t claimed = 0;    ///< runs handed out so far
+  unsigned workers = 0;         ///< workers that have taken runs from it
+  bool first_run_done = false;  ///< a run of the group has finished
+  bool cheap_learning = false;  ///< that run showed learning costs no more
+                                ///< than any other run
+};
+
+/// claim_run_group's answer when nothing is claimable: the worker stops.
+inline constexpr std::size_t kNoRunGroup = static_cast<std::size_t>(-1);
+
+/// The group a worker at `width` takes its next run from, given its own
+/// group `own` (kNoRunGroup before its first claim): its own group while
+/// it has unclaimed runs; else the first group no worker has started;
+/// else the first started group with unclaimed runs that has fewer
+/// workers than its share, ⌈runs × width ⁄ queued runs⌉, or whose first
+/// run showed cheap learning (no rewind point, or a structured window,
+/// whose point is window open), which any idle worker may join; else
+/// kNoRunGroup. A pure function of the counters, in plan order.
+[[nodiscard]] std::size_t claim_run_group(const std::vector<RunGroupCounters>& groups,
+                                          std::size_t own, unsigned width);
+
+/// One run queue over the runs of several plans, served by one set of
+/// workers under the claim rule above. A worker holds one pool slot at a
+/// time: it keeps its lease while the next run's plan shares its slot
+/// key, and releases it before leasing another. Each run depends only on
+/// its plan and seed, so which worker runs it never shows in its result.
+class RunQueue {
+ public:
+  /// Fired once per finished run with the plan's position in the queue
+  /// and the run's index in its plan. Calls are serialised by an internal
+  /// mutex, and may call stop().
+  using ResultFn =
+      std::function<void(std::size_t plan, std::uint32_t index, RunResult run)>;
+
+  /// Queue every run of `plans` (not owned; they must outlive the queue)
+  /// for `threads` workers: 0 → util::ThreadPool::default_threads(),
+  /// clamped to the pool's bound and to the number of queued runs.
+  RunQueue(std::vector<const CampaignExecutor*> plans, unsigned threads);
+
+  /// Run until every queued run has finished or stop() was called. One
+  /// worker runs in the caller's thread, in queue order.
+  void execute(const ResultFn& on_result);
+
+  /// Hand out no further runs; runs already started still finish and are
+  /// reported.
+  void stop() noexcept { stopped_.store(true, std::memory_order_relaxed); }
+
+  /// Each group's claim state, in plan order; final once execute() returns.
+  [[nodiscard]] const std::vector<RunGroupCounters>& groups() const noexcept {
+    return counters_;
+  }
+
+ private:
+  struct QueuedRun {
+    std::size_t plan;
+    std::uint32_t index;
+    std::uint64_t seed;  ///< from execute()'s SplitMix64 expansion
+  };
+
+  void work(const ResultFn& on_result);
+
+  std::vector<const CampaignExecutor*> plans_;
+  /// Per group, its runs in plan order; a group's `claimed` counter is
+  /// the position of its next unclaimed run.
+  std::vector<std::vector<QueuedRun>> group_runs_;
+  unsigned width_ = 1;
+  std::atomic<bool> stopped_{false};
+  std::mutex claim_mutex_;  ///< guards counters_
+  std::vector<RunGroupCounters> counters_;
+  std::mutex result_mutex_;  ///< serialises on_result
 };
 
 }  // namespace mcs::fi

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "analysis/log_parser.hpp"
@@ -164,66 +165,105 @@ bool cell_log_complete(const TestPlan& plan, const std::string& log_path,
   return true;
 }
 
+namespace {
+
+/// One cell's run log on its way to disk, the one commit sequence that
+/// execute_cell and SweepDriver::execute share: open() drops the stale
+/// fingerprint and opens `<log_path>.<tag>.tmp`; record() streams runs
+/// through an order-restoring LogSink; commit() flushes, renames the log
+/// into place and only then writes the fingerprint, temp + rename too. An
+/// interruption anywhere leaves no fingerprint, so the next invocation
+/// re-executes the cell; a log that never commits takes its temp file
+/// with it. An empty `log_path` keeps the cell in memory: the sink
+/// streams into a scratch buffer and nothing touches the disk.
+class CellLog {
+ public:
+  CellLog(std::string log_path, const std::string& tag)
+      : log_path_(std::move(log_path)),
+        tag_(tag.empty() ? std::to_string(static_cast<long>(::getpid())) : tag),
+        tmp_(log_path_ + "." + tag_ + ".tmp"),
+        sink_(persist() ? static_cast<std::ostream&>(file_) : scratch_) {}
+
+  CellLog(const CellLog&) = delete;
+  CellLog& operator=(const CellLog&) = delete;
+
+  ~CellLog() {
+    if (file_.is_open()) {
+      file_.close();
+      std::error_code ec;
+      std::filesystem::remove(tmp_, ec);
+    }
+  }
+
+  [[nodiscard]] util::Status open() {
+    if (!persist()) return util::ok_status();
+    // A stale fingerprint must never outlive the log it described.
+    std::error_code ec;
+    std::filesystem::remove(cell_meta_path(log_path_), ec);
+    file_.open(tmp_, std::ios::trunc);
+    if (!file_) {
+      return util::Status(util::Code::EIo, "cannot write cell log '" + tmp_ + "'");
+    }
+    return util::ok_status();
+  }
+
+  void record(std::uint32_t index, const RunResult& run) { sink_.record(index, run); }
+
+  /// Runs released to the log so far, in run order.
+  [[nodiscard]] std::uint64_t records() const { return sink_.records(); }
+
+  [[nodiscard]] util::Expected<analysis::CampaignAggregate> commit(
+      const TestPlan& plan) {
+    if (persist()) {
+      sink_.flush();
+      const bool written = static_cast<bool>(file_);
+      file_.close();
+      std::error_code ec;
+      if (!written) {
+        std::filesystem::remove(tmp_, ec);
+        return util::Status(util::Code::EIo, "cannot write cell log '" + tmp_ + "'");
+      }
+      std::filesystem::rename(tmp_, log_path_, ec);
+      if (ec) {
+        const std::string why = ec.message();
+        std::filesystem::remove(tmp_, ec);
+        return util::Status(util::Code::EIo,
+                            "cannot rename cell log '" + tmp_ + "': " + why);
+      }
+      const util::Status meta =
+          write_text_atomic(cell_meta_path(log_path_), plan_fingerprint(plan), tag_);
+      if (!meta.is_ok()) return meta;
+    }
+    return sink_.aggregate();
+  }
+
+ private:
+  [[nodiscard]] bool persist() const { return !log_path_.empty(); }
+
+  std::string log_path_;
+  std::string tag_;
+  std::string tmp_;
+  std::ofstream file_;
+  std::ostringstream scratch_;
+  analysis::LogSink sink_;
+};
+
+}  // namespace
+
 util::Expected<analysis::CampaignAggregate> execute_cell(
     const TestPlan& plan, const std::string& log_path,
     const ExecutorConfig& config, const std::string& tag,
     const std::function<void(std::uint32_t)>& per_run) {
-  const bool persist = !log_path.empty();
-  const std::string effective_tag =
-      tag.empty() ? std::to_string(static_cast<long>(::getpid())) : tag;
-  const std::string tmp = log_path + "." + effective_tag + ".tmp";
-
-  std::ofstream log_file;
-  if (persist) {
-    // A stale fingerprint must never outlive the log it described: drop
-    // it first, and only commit the new one once the cell's log is
-    // complete on disk. An interrupt anywhere in between leaves no
-    // fingerprint (and no partially-written log — the stream goes to a
-    // temp file renamed into place), so the next invocation re-executes.
-    std::error_code ec;
-    std::filesystem::remove(cell_meta_path(log_path), ec);
-    log_file.open(tmp, std::ios::trunc);
-    if (!log_file) {
-      return util::Status(util::Code::EIo,
-                          "cannot write cell log '" + tmp + "'");
-    }
-  }
-  // Persisted cells stream straight to their temp log file; an in-memory
-  // cell streams into a scratch buffer that dies here (the aggregate is
-  // all the caller keeps).
-  std::ostringstream devnull;
-  analysis::LogSink sink(persist ? static_cast<std::ostream&>(log_file)
-                                 : devnull);
+  CellLog log(log_path, tag);
+  const util::Status opened = log.open();
+  if (!opened.is_ok()) return opened;
   CampaignExecutor executor(plan, config);
-  executor.set_progress(
-      [&sink, &per_run](std::uint32_t index, const RunResult& run) {
-        sink.record(index, run);
-        if (per_run) per_run(index);
-      });
-  const CampaignResult campaign = executor.execute();
-  (void)campaign;  // every run already reached the sink, in order
-
-  if (persist) {
-    sink.flush();
-    if (!log_file) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return util::Status(util::Code::EIo,
-                          "cannot write cell log '" + tmp + "'");
-    }
-    log_file.close();
-    std::error_code ec;
-    std::filesystem::rename(tmp, log_path, ec);
-    if (ec) {
-      std::filesystem::remove(tmp, ec);
-      return util::Status(util::Code::EIo, "cannot rename cell log '" + tmp +
-                                               "': " + ec.message());
-    }
-    const util::Status meta = write_text_atomic(
-        cell_meta_path(log_path), plan_fingerprint(plan), effective_tag);
-    if (!meta.is_ok()) return meta;
-  }
-  return sink.aggregate();
+  executor.set_progress([&log, &per_run](std::uint32_t index, const RunResult& run) {
+    log.record(index, run);
+    if (per_run) per_run(index);
+  });
+  (void)executor.execute();  // every run already reached the log, in order
+  return log.commit(plan);
 }
 
 std::string render_sweep_spec(const SweepSpec& spec) {
@@ -425,10 +465,10 @@ util::Expected<SweepResult> SweepDriver::execute() {
   // Resume pre-scan. Rebuilding a completed cell from its persisted log
   // is a pure read — mmap + one zero-copy scan, no shared state — so a
   // cold start over a populated logdir validates cells on the pool. Only
-  // the *scan* is parallel: the fold below stays serial and in grid
-  // order, so the report is byte-identical for any thread count (the
-  // resume suite asserts it).
-  std::vector<char> resumed(grid.size(), 0);
+  // the *scan* is parallel: the fold below stays in grid order, so the
+  // report is byte-identical for any thread count (the resume suite
+  // asserts it).
+  std::vector<char> done(grid.size(), 0);
   std::vector<analysis::CampaignAggregate> recovered(grid.size());
   if (persist) {
     util::ThreadPool pool(config_.threads);
@@ -438,7 +478,7 @@ util::Expected<SweepResult> SweepDriver::execute() {
         for (std::size_t i = next.fetch_add(1); i < grid.size(); i = next.fetch_add(1)) {
           const std::string path = cell_log_path(spec_.log_dir, grid[i].name);
           if (cell_log_complete(grid[i], path, recovered[i])) {
-            resumed[i] = 1;
+            done[i] = 1;
             util::LogPipeCounters::instance().record_resumed_cell();
           }
         }
@@ -449,32 +489,72 @@ util::Expected<SweepResult> SweepDriver::execute() {
 
   SweepResult result;
   result.spec = spec_;
-  result.cells.reserve(grid.size());
+  result.cells.resize(grid.size());
+  std::vector<std::unique_ptr<CampaignExecutor>> executors;
+  std::vector<const CampaignExecutor*> queued;
+  std::vector<std::size_t> cell_of;  // queue position → grid index
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    SweepCellResult cell;
+    SweepCellResult& cell = result.cells[i];
     cell.id = grid[i].name;
     cell.plan = std::move(grid[i]);
-
-    if (persist) {
-      cell.log_path = cell_log_path(spec_.log_dir, cell.id);
-      if (resumed[i] != 0) {
-        cell.aggregate = recovered[i];
-        cell.resumed = true;
-        ++result.resumed;
-      }
-    }
-
-    if (!cell.resumed) {
-      auto executed = execute_cell(cell.plan, cell.log_path, config_);
-      if (!executed.is_ok()) return executed.status();
-      cell.aggregate = std::move(executed).value();
+    if (persist) cell.log_path = cell_log_path(spec_.log_dir, cell.id);
+    if (done[i] != 0) {
+      cell.aggregate = recovered[i];
+      cell.resumed = true;
+      ++result.resumed;
+    } else {
+      executors.push_back(std::make_unique<CampaignExecutor>(cell.plan, config_));
+      queued.push_back(executors.back().get());
+      cell_of.push_back(i);
       ++result.executed;
     }
-
-    result.total.merge(cell.aggregate);
-    if (cell_progress_) cell_progress_(cell);
-    result.cells.push_back(std::move(cell));
   }
+
+  // Fold every cell that is done and has no unfinished cell before it.
+  std::size_t folded = 0;
+  const auto fold_done_prefix = [&] {
+    for (; folded < result.cells.size() && done[folded] != 0; ++folded) {
+      result.total.merge(result.cells[folded].aggregate);
+      if (cell_progress_) cell_progress_(result.cells[folded]);
+    }
+  };
+  fold_done_prefix();
+
+  // Every unresumed cell's runs go to one queue. A cell's log opens with
+  // its first result and commits with its last, so open files stay
+  // bounded by the cells in flight; the queue's result lock serialises
+  // all of this.
+  std::vector<std::unique_ptr<CellLog>> logs(queued.size());
+  util::Status failure;
+  RunQueue queue(queued, config_.threads);
+  queue.execute([&](std::size_t k, std::uint32_t index, RunResult run) {
+    if (!failure.is_ok()) return;
+    SweepCellResult& cell = result.cells[cell_of[k]];
+    const auto fail = [&](const util::Status& status) {
+      failure = util::Status(status.code(), "cell " + cell.id + ": " + status.message());
+      logs[k].reset();
+      queue.stop();
+    };
+    if (logs[k] == nullptr) {
+      logs[k] = std::make_unique<CellLog>(cell.log_path, "");
+      if (const util::Status opened = logs[k]->open(); !opened.is_ok()) {
+        fail(opened);
+        return;
+      }
+    }
+    logs[k]->record(index, run);
+    if (logs[k]->records() < cell.plan.runs) return;
+    auto committed = logs[k]->commit(cell.plan);
+    if (!committed.is_ok()) {
+      fail(committed.status());
+      return;
+    }
+    logs[k].reset();
+    cell.aggregate = std::move(committed).value();
+    done[cell_of[k]] = 1;
+    fold_done_prefix();
+  });
+  if (!failure.is_ok()) return failure;
   return result;
 }
 

@@ -4,10 +4,11 @@
 // of them — scenarios × fault-intensity levels (rates) × boards — each
 // summarized and compared (Figure 3 against the high-intensity shapes).
 // SweepSpec names that grid; SweepDriver expands it into one TestPlan per
-// cell, executes every cell through the sharded CampaignExecutor, streams
-// each cell's run log to its own file, and folds the per-cell
-// CampaignAggregates into a sweep-level result the comparison report
-// renders side by side.
+// cell, hands the runs of every cell it must execute to one RunQueue
+// (core/executor.hpp), so one set of workers learns each rewind key once
+// and serves every cell that shares it, streams each cell's run log to
+// its own file, and folds the per-cell CampaignAggregates, in grid order,
+// into a sweep-level result the comparison report renders side by side.
 //
 // Determinism: expansion always enumerates the full grid in one fixed
 // order (scenario-major, then rate, then board) and deals per-cell seeds
@@ -109,10 +110,11 @@ struct SweepSpec {
                                      const std::string& log_path,
                                      analysis::CampaignAggregate& aggregate);
 
-/// Execute one grid cell and persist its artifacts crash-tolerantly: the
-/// run log streams into `<log_path>.<tag>.tmp` and is renamed into place
-/// only once complete; the fingerprint sidecar follows, temp + rename
-/// too. An interruption anywhere leaves either the previous artifacts or
+/// Execute one grid cell and persist its artifacts crash-tolerantly, by
+/// the same commit sequence SweepDriver::execute() uses per cell: the
+/// stale fingerprint goes first, the run log streams into
+/// `<log_path>.<tag>.tmp` and is renamed into place only once complete,
+/// and the fingerprint sidecar follows, temp + rename too. An interruption anywhere leaves either the previous artifacts or
 /// none — never a truncated log — and because per-cell runs are
 /// deterministic in the plan, a concurrent duplicate execution of the
 /// same cell (a stolen lease whose old holder turned out alive) is
@@ -153,7 +155,10 @@ class SweepDriver {
  public:
   explicit SweepDriver(SweepSpec spec, ExecutorConfig config = {});
 
-  /// Fired after each cell completes (executed or resumed), in grid order.
+  /// Fired once per cell (executed or resumed), in grid order, as soon as
+  /// the cell and every cell before it are done — an executed cell once
+  /// its log and fingerprint are committed. Calls come from the run
+  /// queue's workers, serialised by its result lock.
   using CellProgressFn = std::function<void(const SweepCellResult&)>;
   void set_cell_progress(CellProgressFn fn) { cell_progress_ = std::move(fn); }
 
@@ -164,10 +169,15 @@ class SweepDriver {
 
   /// Execute the sweep: resume completed cells from their persisted logs
   /// (when spec.log_dir is set), execute the rest, fold everything into a
-  /// SweepResult. Deterministic in the spec for any thread count and any
-  /// executed/resumed split. The resume scan — a pure read per cell —
-  /// runs on a util::ThreadPool of config.threads workers; the fold stays
-  /// serial in grid order, so results are byte-identical for any width.
+  /// SweepResult. The resume scan — a pure read per cell — runs on a
+  /// util::ThreadPool of config.threads workers. Every unresumed cell's
+  /// runs then go to one RunQueue of config.threads workers; each cell
+  /// streams into its own LogSink, opened with its first result and
+  /// committed (temp log renamed into place, then the fingerprint) with
+  /// its last. The fold stays in grid order, so results are deterministic
+  /// in the spec for any thread count and any executed/resumed split. A
+  /// persistence failure stops the queue and returns EIo naming the cell;
+  /// cells committed before it resume on the next invocation.
   [[nodiscard]] util::Expected<SweepResult> execute();
 
   [[nodiscard]] const SweepSpec& spec() const noexcept { return spec_; }

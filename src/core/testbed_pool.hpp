@@ -4,12 +4,13 @@
 // The paper's outer loop provisions a fresh target per experiment; real
 // fault-injection tooling amortises that by *resetting* the target
 // instead of re-provisioning it. The pool is that amortisation for the
-// campaign executor: each worker thread checks one slot out per key for
-// the duration of its shard and restores it between runs — its rewind
-// point, or its power-on snapshot (Testbed::reset) — with bit-identical
-// results (the snapshot-equivalence suite pins pooled == fresh
-// construction on every scenario × board × thread count) and zero
-// steady-state heap allocations (asserted via util::AllocationObserver).
+// campaign executor's run queue: each worker thread holds one slot at a
+// time, keeps it while its runs share the slot's key, and restores it
+// between runs — its rewind point, or its power-on snapshot
+// (Testbed::reset) — with bit-identical results (the snapshot-equivalence
+// suite pins pooled == fresh construction on every scenario × board ×
+// thread count) and zero steady-state heap allocations (asserted via
+// util::AllocationObserver).
 //
 // Slots are keyed by (board_name, tuning text) even though reset()
 // restores power-on state regardless of the previous occupant — the key
@@ -17,8 +18,8 @@
 // ping-ponging page working sets between differently tuned cells. The
 // executor passes only the tuning fields that reach the machine (RAM
 // size, console kind), so the fault domain no longer splits slots: the
-// domain cells of a sweep share one slot per worker, and with it the
-// slot's rewind point.
+// domain cells of a sweep share one slot, and with it the slot's rewind
+// point.
 //
 // Memory: idle slots are capped at kMaxIdlePerKey per key (releases
 // beyond the cap destroy the testbed instead of parking it), so a key's

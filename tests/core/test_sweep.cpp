@@ -177,7 +177,7 @@ TEST(SweepDriver, RejectsUnknownScenarioAndBoardKeys) {
 // --- execution --------------------------------------------------------------
 
 TEST(SweepDriver, ExecutesEveryCellAndFoldsTheTotals) {
-  SweepDriver driver(small_spec(), {/*threads=*/2, /*probe_recovery=*/true});
+  SweepDriver driver(small_spec(), {.threads = 2, .probe_recovery = true});
   auto swept = driver.execute();
   ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
   const SweepResult& result = swept.value();

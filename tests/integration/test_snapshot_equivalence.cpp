@@ -331,29 +331,42 @@ TEST(SnapshotEquivalence, SweepResumeStaysByteIdenticalWithSnapshots) {
   std::filesystem::remove_all(dir);
 }
 
-/// A five-domain rewind grid through SweepDriver at 2 workers, every
-/// cell's .runlog byte-compared with the oracle's run-log lines. Runs
-/// decided against a golden suffix (the golden result, a ladder jump) or
-/// on a panicked machine must leave each line as the whole window would.
+/// A five-domain rewind grid through SweepDriver at 2 and at 8 workers,
+/// every cell's .runlog byte-compared with the oracle's run-log lines.
+/// Runs decided against a golden suffix (the golden result, a ladder
+/// jump) or on a panicked machine must leave each line as the whole
+/// window would. At 8 workers each rewind key's share of the width is 2,
+/// so workers also join groups already in progress.
 void expect_run_logs_match_the_oracle(const std::string& spec_text,
                                       const std::string& dir_name) {
   auto spec = parse_sweep_spec(spec_text);
   ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / dir_name;
-  std::filesystem::remove_all(dir);
-  spec.value().log_dir = dir.string();
-
-  auto swept = SweepDriver(spec.value(), {.threads = 2}).execute();
-  ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
-  ASSERT_EQ(swept.value().cells.size(), 30u);
-  for (const SweepCellResult& cell : swept.value().cells) {
-    const CampaignExecutor oracle(cell.plan);
-    util::SplitMix64 seeds(cell.plan.seed);
-    std::string want;
-    for (std::uint32_t i = 0; i < cell.plan.runs; ++i) {
-      want += run_log_line(i, oracle.execute_one(seeds.next())) + "\n";
+  auto grid = SweepDriver(spec.value()).expand();
+  ASSERT_TRUE(grid.is_ok()) << grid.status().to_string();
+  ASSERT_EQ(grid.value().size(), 30u);
+  std::vector<std::string> want;
+  for (const TestPlan& plan : grid.value()) {
+    const CampaignExecutor oracle(plan);
+    util::SplitMix64 seeds(plan.seed);
+    std::string lines;
+    for (std::uint32_t i = 0; i < plan.runs; ++i) {
+      lines += run_log_line(i, oracle.execute_one(seeds.next())) + "\n";
     }
-    EXPECT_EQ(read_file(cell.log_path), want) << cell.id;
+    want.push_back(std::move(lines));
+  }
+
+  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / dir_name;
+  for (const unsigned threads : {2u, 8u}) {
+    std::filesystem::remove_all(dir);
+    spec.value().log_dir = dir.string();
+    auto swept = SweepDriver(spec.value(), {.threads = threads}).execute();
+    ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
+    ASSERT_EQ(swept.value().cells.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      const SweepCellResult& cell = swept.value().cells[c];
+      EXPECT_EQ(read_file(cell.log_path), want[c])
+          << cell.id << " at " << threads << " workers";
+    }
   }
   std::filesystem::remove_all(dir);
 }

@@ -6,6 +6,7 @@
 // `SweepDriver` resume trustworthy rather than merely plausible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -323,6 +324,100 @@ TEST(SweepResume, InMemorySweepMatchesPersistedSweep) {
                           persisted.value().cells[i].aggregate,
                           "cell " + transient.value().cells[i].id);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// --- one run queue per sweep ---------------------------------------------------
+
+TEST(SweepResume, CellProgressFiresOncePerCellInGridOrder) {
+  // Resumed and executed cells interleave in grid order; the executed
+  // ones share one run queue and finish in any order. Progress still
+  // fires once per cell, in grid order, with the cell's final aggregate,
+  // and only after an executed cell's log and fingerprint are committed.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "mcs_sweep_progress";
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::filesystem::remove_all(dir);
+    auto fresh = fi::SweepDriver(resume_spec(dir.string()), {.threads = 4}).execute();
+    ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+    for (const char* cell : {"freertos-steady_r100", "inject-during-boot_r100"}) {
+      std::filesystem::remove(fi::SweepDriver::cell_log_path(dir.string(), cell));
+    }
+
+    fi::SweepDriver driver(resume_spec(dir.string()), {.threads = threads});
+    std::vector<fi::SweepCellResult> seen;
+    std::vector<bool> committed;
+    driver.set_cell_progress([&](const fi::SweepCellResult& cell) {
+      seen.push_back(cell);
+      analysis::CampaignAggregate on_disk;
+      committed.push_back(fi::cell_log_complete(cell.plan, cell.log_path, on_disk));
+    });
+    auto resumed = driver.execute();
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_EQ(resumed.value().executed, 2u);
+    ASSERT_EQ(seen.size(), fresh.value().cells.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      const fi::SweepCellResult& want = fresh.value().cells[i];
+      EXPECT_EQ(seen[i].id, want.id);
+      EXPECT_EQ(seen[i].resumed, i % 2 == 1) << want.id;
+      EXPECT_TRUE(committed[i]) << want.id;
+      expect_same_aggregate(seen[i].aggregate, want.aggregate, "progress " + want.id);
+      expect_same_aggregate(seen[i].aggregate, resumed.value().cells[i].aggregate,
+                            "result " + want.id);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepResume, PersistenceFailureStopsTheQueueAndResumesCleanly) {
+  // A directory where one cell's log must land makes that cell's commit
+  // fail. The sweep reports it by name, hands out no further runs, and
+  // leaves no fingerprint for the cell and no temp log behind. Once the
+  // directory is gone, the next invocation executes exactly the cells
+  // without a committed log and reports what a fresh sweep reports.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "mcs_sweep_commit_failure";
+  std::filesystem::remove_all(dir);
+  const std::string blocked =
+      fi::SweepDriver::cell_log_path(dir.string(), "inject-during-boot_r100");
+  std::filesystem::create_directories(blocked);
+
+  auto failed = fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), util::Code::EIo);
+  EXPECT_NE(failed.status().message().find("inject-during-boot_r100"), std::string::npos)
+      << failed.status().to_string();
+  EXPECT_FALSE(std::filesystem::exists(fi::cell_meta_path(blocked)));
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+
+  std::filesystem::remove_all(blocked);
+  const std::vector<fi::TestPlan> grid =
+      fi::SweepDriver(resume_spec(dir.string())).expand().value();
+  std::vector<bool> committed;
+  for (const fi::TestPlan& plan : grid) {
+    analysis::CampaignAggregate on_disk;
+    committed.push_back(fi::cell_log_complete(
+        plan, fi::SweepDriver::cell_log_path(dir.string(), plan.name), on_disk));
+  }
+  EXPECT_FALSE(committed[2]);
+
+  auto retried = fi::SweepDriver(resume_spec(dir.string()), {.threads = 2}).execute();
+  ASSERT_TRUE(retried.is_ok()) << retried.status().to_string();
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(retried.value().cells[i].resumed, committed[i]) << grid[i].name;
+  }
+  const std::size_t missing =
+      static_cast<std::size_t>(std::count(committed.begin(), committed.end(), false));
+  EXPECT_EQ(retried.value().executed, missing);
+
+  const std::filesystem::path fresh_dir = dir / "fresh";
+  auto fresh =
+      fi::SweepDriver(resume_spec(fresh_dir.string()), {.threads = 2}).execute();
+  ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+  EXPECT_EQ(report_of(retried.value()), report_of(fresh.value()));
   std::filesystem::remove_all(dir);
 }
 
