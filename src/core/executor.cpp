@@ -100,11 +100,6 @@ bool CampaignExecutor::shares_slot_with(const CampaignExecutor& other) const {
          pool_extra_key_ == other.pool_extra_key_;
 }
 
-bool CampaignExecutor::learns_cheaply(const Testbed* slot) const {
-  return slot == nullptr || !slot->has_snapshot(rewind_key_) ||
-         !scenario_->flat_window(*slot);
-}
-
 RunResult CampaignExecutor::run_with(std::uint64_t run_seed, Testbed* reused) const {
   const Scenario* scenario = scenario_;
   if (scenario == nullptr) {
@@ -361,24 +356,32 @@ CampaignResult CampaignExecutor::execute() {
 
 std::size_t claim_run_group(const std::vector<RunGroupCounters>& groups,
                             std::size_t own, unsigned width) {
-  const auto open = [](const RunGroupCounters& group) {
-    return group.claimed < group.runs;
+  const auto unclaimed = [](const RunGroupCounters& group) {
+    return group.runs - group.claimed;
   };
-  if (own < groups.size() && open(groups[own])) return own;
+  if (own < groups.size() && unclaimed(groups[own]) != 0) return own;
   std::uint64_t queued = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (open(groups[g]) && groups[g].workers == 0) return g;
+    if (unclaimed(groups[g]) != 0 && groups[g].workers == 0) return g;
     queued += groups[g].runs;
   }
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const RunGroupCounters& group = groups[g];
-    if (!open(group)) continue;
     const std::uint64_t share = (group.runs * width + queued - 1) / queued;
-    if (group.workers < share || (group.first_run_done && group.cheap_learning)) {
-      return g;
+    if (unclaimed(group) != 0 && group.workers < share) return g;
+  }
+  // Every open group is at its share (and so started): a joiner's learning
+  // run must be worth the runs it takes over.
+  std::size_t most = kNoRunGroup;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const RunGroupCounters& group = groups[g];
+    if (unclaimed(group) <= kLearningRunCost * group.workers) continue;
+    if (most == kNoRunGroup || unclaimed(group) * groups[most].workers >
+                                   unclaimed(groups[most]) * group.workers) {
+      most = g;
     }
   }
-  return kNoRunGroup;
+  return most;
 }
 
 RunQueue::RunQueue(std::vector<const CampaignExecutor*> plans, unsigned threads)
@@ -426,15 +429,10 @@ void RunQueue::work(const ResultFn& on_result) {
   TestbedLease lease;
   const CampaignExecutor* lessor = nullptr;  // whose slot key `lease` serves
   std::size_t own = kNoRunGroup;  // the group of the worker's last run
-  bool cheap = false;  // what that run's slot showed about learning
   for (;;) {
     QueuedRun claimed{};
     {
       const std::lock_guard<std::mutex> lock(claim_mutex_);
-      if (own != kNoRunGroup && !counters_[own].first_run_done) {
-        counters_[own].first_run_done = true;
-        counters_[own].cheap_learning = cheap;
-      }
       if (stopped_.load(std::memory_order_relaxed)) return;
       const std::size_t g = claim_run_group(counters_, own, width_);
       if (g == kNoRunGroup) return;
@@ -451,7 +449,6 @@ void RunQueue::work(const ResultFn& on_result) {
       lessor = &executor;
     }
     RunResult run = executor.run_with(claimed.seed, lease.get());
-    cheap = executor.learns_cheaply(lease.get());
     const std::lock_guard<std::mutex> lock(result_mutex_);
     on_result(claimed.plan, claimed.index, std::move(run));
   }

@@ -31,8 +31,9 @@
 // Run queue: RunQueue groups the runs of its plans by rewind key, in plan
 // order, so a group's learning run pays for every run of the group that
 // its worker serves. Workers keep to their own group and join one already
-// in progress only below its share of the width, since each joiner learns
-// the key once more on its own slot (claim_run_group is the rule;
+// in progress only below its share of the width, or once every group is
+// at its share, while the group's unclaimed runs outweigh the learning
+// run each joiner makes on its own slot (claim_run_group is the rule;
 // affinity scheduling after Markatos & LeBlanc, IEEE TPDS 1994). A plan
 // alone in the queue is one group whose share is the whole width.
 //
@@ -183,12 +184,6 @@ class CampaignExecutor {
   /// Whether a lease taken for `other` serves this executor's runs too.
   [[nodiscard]] bool shares_slot_with(const CampaignExecutor& other) const;
 
-  /// Whether learning this rewind key on `slot` (after any of its runs)
-  /// costs no more than any other run: no slot (HarnessError runs), no
-  /// rewind point held (every run powers on and boots), or a structured
-  /// window, whose point is window open and has no golden suffix.
-  [[nodiscard]] bool learns_cheaply(const Testbed* slot) const;
-
   TestPlan plan_;
   ExecutorConfig config_;
   ProgressFn progress_;
@@ -222,25 +217,30 @@ class CampaignExecutor {
 /// The claim rule's view of one group of a RunQueue: the queued runs of
 /// every plan with one rewind key.
 struct RunGroupCounters {
-  std::uint64_t runs = 0;       ///< runs in the group
-  std::uint64_t claimed = 0;    ///< runs handed out so far
-  unsigned workers = 0;         ///< workers that have taken runs from it
-  bool first_run_done = false;  ///< a run of the group has finished
-  bool cheap_learning = false;  ///< that run showed learning costs no more
-                                ///< than any other run
+  std::uint64_t runs = 0;     ///< runs in the group
+  std::uint64_t claimed = 0;  ///< runs handed out so far
+  unsigned workers = 0;       ///< workers that have taken runs from it
 };
 
 /// claim_run_group's answer when nothing is claimable: the worker stops.
 inline constexpr std::size_t kNoRunGroup = static_cast<std::size_t>(-1);
 
+/// What a learning run costs, in restored runs of its rewind key, rounded
+/// up: on CI's rewind spec (default window) a flat window's learning run
+/// (boot, window and golden suffix) took 5–31 times its key's mean
+/// restored run. A worker that joins a group at its share pays one, so it
+/// joins only a group with more unclaimed runs than this per worker.
+inline constexpr std::uint64_t kLearningRunCost = 32;
+
 /// The group a worker at `width` takes its next run from, given its own
 /// group `own` (kNoRunGroup before its first claim): its own group while
 /// it has unclaimed runs; else the first group no worker has started;
 /// else the first started group with unclaimed runs that has fewer
-/// workers than its share, ⌈runs × width ⁄ queued runs⌉, or whose first
-/// run showed cheap learning (no rewind point, or a structured window,
-/// whose point is window open), which any idle worker may join; else
-/// kNoRunGroup. A pure function of the counters, in plan order.
+/// workers than its share, ⌈runs × width ⁄ queued runs⌉; else the group
+/// with the most unclaimed runs per worker, if that is more than
+/// kLearningRunCost; else kNoRunGroup. A pure function of the counters,
+/// in plan order. Claims and workers only grow, so a worker that gets
+/// kNoRunGroup would get it again.
 [[nodiscard]] std::size_t claim_run_group(const std::vector<RunGroupCounters>& groups,
                                           std::size_t own, unsigned width);
 
@@ -269,11 +269,6 @@ class RunQueue {
   /// Hand out no further runs; runs already started still finish and are
   /// reported.
   void stop() noexcept { stopped_.store(true, std::memory_order_relaxed); }
-
-  /// Each group's claim state, in plan order; final once execute() returns.
-  [[nodiscard]] const std::vector<RunGroupCounters>& groups() const noexcept {
-    return counters_;
-  }
 
  private:
   struct QueuedRun {

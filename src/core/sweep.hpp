@@ -114,14 +114,15 @@ struct SweepSpec {
 /// the same commit sequence SweepDriver::execute() uses per cell: the
 /// stale fingerprint goes first, the run log streams into
 /// `<log_path>.<tag>.tmp` and is renamed into place only once complete,
-/// and the fingerprint sidecar follows, temp + rename too. An interruption anywhere leaves either the previous artifacts or
-/// none — never a truncated log — and because per-cell runs are
-/// deterministic in the plan, a concurrent duplicate execution of the
-/// same cell (a stolen lease whose old holder turned out alive) is
-/// harmless: both writers commit byte-identical bytes atomically. Empty
-/// `log_path` → execute in memory, persist nothing. `per_run` (optional)
-/// fires after each recorded run, serialized by the executor's progress
-/// mutex — the lease-heartbeat hook of the distributed runtime.
+/// and the fingerprint sidecar follows, temp + rename too. An
+/// interruption anywhere leaves either the previous artifacts or none —
+/// never a truncated log — and because per-cell runs are deterministic in
+/// the plan, a concurrent duplicate execution of the same cell (a stolen
+/// lease whose old holder turned out alive) is harmless: both writers
+/// commit byte-identical bytes atomically. Empty `log_path` → execute in
+/// memory, persist nothing. `per_run` (optional) fires after each
+/// recorded run, serialized by the executor's progress mutex — the
+/// lease-heartbeat hook of the distributed runtime.
 [[nodiscard]] util::Expected<analysis::CampaignAggregate> execute_cell(
     const TestPlan& plan, const std::string& log_path,
     const ExecutorConfig& config, const std::string& tag = "",

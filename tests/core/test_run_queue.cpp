@@ -66,31 +66,44 @@ TEST(RunQueueClaim, OnePlanAloneGetsTheWholeWidth) {
   EXPECT_EQ(claim_run_group(full, kNoRunGroup, 4), kNoRunGroup);
 }
 
-TEST(RunQueueClaim, CheapLearningGroupsCanBeJoinedAtAnyTime) {
-  // Group 1 is at its share of one worker (⌈20 × 4 ⁄ 120⌉). Its first run
-  // showed learning costs no more than any other run, so an idle worker
-  // may join it; it may not before that run is done, nor when learning
-  // was dear.
-  std::vector<RunGroupCounters> groups = {group(100, 100, 1), group(20, 2, 1)};
-  groups[1].cheap_learning = true;
-  EXPECT_EQ(claim_run_group(groups, 0, 4), kNoRunGroup);
-  groups[1].first_run_done = true;
-  EXPECT_EQ(claim_run_group(groups, 0, 4), 1u);
-  groups[1].workers = 4;
-  EXPECT_EQ(claim_run_group(groups, 0, 4), 1u);
-  groups[1].cheap_learning = false;
-  EXPECT_EQ(claim_run_group(groups, 0, 4), kNoRunGroup);
+TEST(RunQueueClaim, AtTheirSharesTheLongestBacklogIsJoinedWhileWorthALearningRun) {
+  // Six 500-run groups at width 5: each share is ⌈2500 ⁄ 3000⌉ = 1 worker.
+  // This worker has drained group 0; each open group has one worker. It
+  // joins the group with the most unclaimed runs per worker, since its
+  // learning run is worth those.
+  std::vector<RunGroupCounters> groups = {group(500, 500, 1), group(500, 300, 1),
+                                          group(500, 500, 1), group(500, 250, 1),
+                                          group(500, 100, 1), group(500, 60, 1)};
+  EXPECT_EQ(claim_run_group(groups, 0, 5), 5u);  // 440 unclaimed
+  groups[5].workers = 2;                         // 220 per worker
+  EXPECT_EQ(claim_run_group(groups, 0, 5), 4u);  // 400
+  groups[4].workers = 2;                         // 200 per worker
+  EXPECT_EQ(claim_run_group(groups, 0, 5), 3u);  // 250
+  // Equal backlogs per worker go to the first in plan order.
+  groups[3].claimed = 300;  // 200, like groups 1 and 4
+  groups[5].workers = 3;    // 146 per worker
+  EXPECT_EQ(claim_run_group(groups, 0, 5), 1u);
+  // A backlog of kLearningRunCost runs per worker or fewer is not joined.
+  // (Each 500-run group's share of 4 workers in 2000 runs is one.)
+  const std::uint64_t at_cost = 500 - kLearningRunCost;
+  const std::vector<RunGroupCounters> late = {group(1000, 1000, 1), group(500, at_cost, 1),
+                                              group(500, 500 - 2 * kLearningRunCost, 2)};
+  EXPECT_EQ(claim_run_group(late, 0, 4), kNoRunGroup);
+  std::vector<RunGroupCounters> one_more = late;
+  --one_more[2].claimed;
+  EXPECT_EQ(claim_run_group(one_more, 0, 4), 2u);
 }
 
 TEST(RunQueueClaim, NothingClaimableStopsTheWorker) {
   EXPECT_EQ(claim_run_group({}, kNoRunGroup, 4), kNoRunGroup);
   const std::vector<RunGroupCounters> drained = {group(4, 4, 2), group(8, 8, 1)};
   EXPECT_EQ(claim_run_group(drained, 1, 4), kNoRunGroup);
-  // A fully claimed group is never joined, cheap or not.
-  std::vector<RunGroupCounters> cheap = {group(4, 4, 1)};
-  cheap[0].first_run_done = true;
-  cheap[0].cheap_learning = true;
-  EXPECT_EQ(claim_run_group(cheap, kNoRunGroup, 4), kNoRunGroup);
+  // Every open group is at its share (⌈20 × 3 ⁄ 60⌉ = 1) and holds too few
+  // runs to be worth a learning run, as in a grid of 20-run groups like
+  // CI's rewind spec.
+  const std::vector<RunGroupCounters> at_share = {group(20, 20, 1), group(20, 2, 1),
+                                                  group(20, 1, 1)};
+  EXPECT_EQ(claim_run_group(at_share, 0, 3), kNoRunGroup);
 }
 
 // --- the queue ------------------------------------------------------------------
@@ -135,40 +148,6 @@ TEST(RunQueue, StopHandsOutNoFurtherRuns) {
   }
 }
 
-TEST(RunQueue, FirstRunsShowWhetherLearningIsCheap) {
-  // One group per rewind key, in plan order. A flat window's point needs a
-  // learning run that steps to it and runs the golden suffix; a plan
-  // whose first injecting call falls during boot has no point, and a
-  // structured window's point is window open, so their learning costs no
-  // more than any other run. A plan that can only produce HarnessErrors
-  // runs no testbed at all.
-  TestPlan steady = short_plan(3);
-  TestPlan boot = find_scenario("inject-during-boot")->make_plan();
-  boot.rate = 1;
-  boot.runs = 2;
-  boot.duration_ticks = 300;
-  TestPlan traffic = find_scenario("ivshmem-traffic")->make_plan();
-  traffic.board = "quad-a7";
-  traffic.runs = 2;
-  traffic.duration_ticks = 300;
-  TestPlan broken = short_plan(2);
-  broken.board = "no-such-board";
-  const CampaignExecutor a(steady), b(boot), c(traffic), d(broken);
-  RunQueue queue({&a, &b, &c, &d}, 1);
-  queue.execute([](std::size_t, std::uint32_t, RunResult) {});
-  const std::vector<RunGroupCounters>& groups = queue.groups();
-  ASSERT_EQ(groups.size(), 4u);
-  const bool cheap[] = {false, true, true, true};
-  const std::uint64_t runs[] = {3, 2, 2, 2};
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    EXPECT_EQ(groups[g].runs, runs[g]) << g;
-    EXPECT_EQ(groups[g].claimed, runs[g]) << g;
-    EXPECT_EQ(groups[g].workers, 1u) << g;
-    EXPECT_TRUE(groups[g].first_run_done) << g;
-    EXPECT_EQ(groups[g].cheap_learning, cheap[g]) << g;
-  }
-}
-
 // --- learning runs across a sweep ----------------------------------------------
 
 struct Provisioning {
@@ -201,9 +180,9 @@ constexpr const char* kRewindGridSpec =
 
 TEST(RunQueueSweep, EachRewindKeyIsLearnedOnce) {
   // Each group's share at 2 or 4 workers is ⌈20 × width ⁄ 120⌉ = 1 and no
-  // group learns cheaply, so one worker learns each key and serves all
-  // its runs. Cell by cell, every worker learned every key: 24 learning
-  // runs and 12 slots at 4 workers.
+  // group's backlog outweighs a learning run, so one worker learns each
+  // key and serves all its runs. Cell by cell, every worker learned every
+  // key: 24 learning runs and 12 slots at 4 workers.
   for (const unsigned threads : {2u, 4u}) {
     const Provisioning provisioning = sweep_provisioning(kRewindGridSpec, threads);
     EXPECT_EQ(provisioning.resets, 6u) << threads << " workers";
